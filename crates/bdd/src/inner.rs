@@ -67,14 +67,9 @@ const MIN_TABLE: usize = 1 << 14;
 /// on the PR-5 protocol (`BENCH_5.json`): 4 ways measured no reachability
 /// win and a table1 regression — a 2-way set is exactly one cache line, and
 /// the extra conflict tolerance did not pay for the second line touched per
-/// probe — so 2 stays as the default. The `leaky-cache` feature drops to a
-/// direct-mapped (1-way) overwrite-on-collision task cache — half the
-/// bytes touched per probe at the price of conflict evictions; the PR-10
-/// protocol (`BENCH_10.json`) decides which one a build ships with.
-#[cfg(not(feature = "leaky-cache"))]
+/// probe — and a direct-mapped (1-way) cache never won either
+/// (`BENCH_10.json`), so 2 it is.
 const CACHE_WAYS: usize = 2;
-#[cfg(feature = "leaky-cache")]
-const CACHE_WAYS: usize = 1;
 /// Smallest computed-cache capacity (entries, all ways counted).
 const MIN_CACHE: usize = 1 << 14;
 /// Largest computed-cache capacity (entries).
@@ -160,8 +155,7 @@ pub(crate) struct Counters {
     /// `cache_writes`).
     pub cache_puts: u64,
     /// Computed-cache insertions that overwrote a live entry under a
-    /// *different* key (conflict evictions — the "leak" of the leaky task
-    /// cache).
+    /// *different* key (conflict evictions).
     pub cache_evictions: u64,
     /// Dynamic-reorder passes (manual [`Inner::reorder`] calls and
     /// automatic sifting triggers).
@@ -194,8 +188,6 @@ pub(crate) struct Inner {
     pub(crate) fences: Vec<u32>,
     /// The dynamic-reordering policy.
     pub(crate) policy: ReorderPolicy,
-    /// Opt-in DFS relayout at GC/reorder safe points (see [`Inner::gc`]).
-    pub(crate) relayout: bool,
     /// Live-node count at which the next automatic reorder fires
     /// (`usize::MAX` when the policy is `None`). Checked only at the
     /// [`Inner::maybe_gc`] safe point — never mid-recursion, where the
@@ -291,7 +283,6 @@ impl Inner {
             level2var: Vec::new(),
             fences: Vec::new(),
             policy: ReorderPolicy::None,
-            relayout: false,
             reorder_next: usize::MAX,
             table: vec![EMPTY_SLOT; MIN_TABLE],
             cache: vec![EMPTY_ENTRY; MIN_CACHE],
@@ -410,14 +401,6 @@ impl Inner {
 
     pub(crate) fn set_node_limit(&mut self, limit: Option<usize>) {
         self.node_limit = limit;
-    }
-
-    pub(crate) fn set_relayout(&mut self, on: bool) -> bool {
-        std::mem::replace(&mut self.relayout, on)
-    }
-
-    pub(crate) fn relayout_enabled(&self) -> bool {
-        self.relayout
     }
 
     pub(crate) fn set_abort_hook(
@@ -608,6 +591,9 @@ impl Inner {
     fn rebuild_table_ordered(&mut self, new_len: usize, order: &[u32]) {
         debug_assert!(new_len.is_power_of_two());
         let mask = new_len - 1;
+        // The old table is dead once GC has swept the node store; freeing
+        // it first keeps one table, not two, beside `order` at GC's peak.
+        self.table = Vec::new();
         let mut table = vec![EMPTY_SLOT; new_len];
         for &idx in order {
             let n = self.nodes[idx as usize];
@@ -788,18 +774,16 @@ impl Inner {
                 stack.push(idx as u32);
             }
         }
-        // With the relayout opt-in the mark pass doubles as the traversal
-        // that orders the post-GC unique-table rebuild: visiting order ≈
-        // DFS from the external roots.
+        // The mark pass doubles as the traversal that orders the post-GC
+        // unique-table rebuild: visiting order ≈ DFS from the external
+        // roots.
         let mut dfs_order: Vec<u32> = Vec::new();
         while let Some(i) = stack.pop() {
             let n = self.nodes[i as usize];
             if n.var >= VAR_FREE {
                 continue;
             }
-            if self.relayout {
-                dfs_order.push(i);
-            }
+            dfs_order.push(i);
             for ch in [n.hi >> 1, n.lo >> 1] {
                 if !mark[ch as usize] {
                     mark[ch as usize] = true;
@@ -853,20 +837,15 @@ impl Inner {
         } else {
             self.table.len().max(want)
         };
-        if self.relayout {
-            // DFS relayout (DESIGN.md §16). Node *indices* are handle
-            // identity and can never move while external `Bdd`s embed them,
-            // so the pass relocates what can move: unique-table slots are
-            // assigned in traversal order (first-come wins its home slot
-            // under the locality hash, so hot upper nodes probe shortest),
-            // and the free list is flipped so recycling fills the lowest
-            // slots first — allocation packs the node array front instead
-            // of scattering into the tail.
-            self.free.reverse();
-            self.rebuild_table_ordered(table_len, &dfs_order);
-        } else {
-            self.rebuild_table(table_len);
-        }
+        // DFS relayout (DESIGN.md §16). Node *indices* are handle identity
+        // and can never move while external `Bdd`s embed them, so the pass
+        // relocates what can move: unique-table slots are assigned in
+        // traversal order (first-come wins its home slot under the locality
+        // hash, so hot upper nodes probe shortest), and the free list is
+        // flipped so recycling fills the lowest slots first — allocation
+        // packs the node array front instead of scattering into the tail.
+        self.free.reverse();
+        self.rebuild_table_ordered(table_len, &dfs_order);
         self.adapt_cache_after_gc();
         self.gc_threshold = (live * 2).max(1 << 16);
         #[cfg(feature = "sanitize")]

@@ -94,13 +94,12 @@ fn banked_counters(
 }
 
 /// Fused-schedule ablation: the multi-cluster reachability workload with
-/// the compile-time fused schedule (default), the classic per-call chain
-/// (`fusion: false` — the serial baseline), parallel fusion workers, and
-/// the restrict-based image cache.
+/// the compile-time fused schedule (default) and the classic per-call chain
+/// (`fusion: false` — the serial baseline).
 fn bench_fused(c: &mut Criterion) {
     let mut group = c.benchmark_group("quant_sched/fused");
     group.sample_size(10);
-    let variants: [(&str, ImageOptions); 4] = [
+    let variants: [(&str, ImageOptions); 2] = [
         (
             "classic",
             ImageOptions {
@@ -109,20 +108,6 @@ fn bench_fused(c: &mut Criterion) {
             },
         ),
         ("fused", ImageOptions::default()),
-        (
-            "fused-jobs4",
-            ImageOptions {
-                jobs: 4,
-                ..Default::default()
-            },
-        ),
-        (
-            "fused-restrict",
-            ImageOptions {
-                use_restrict: true,
-                ..Default::default()
-            },
-        ),
     ];
     for (label, opts) in variants {
         group.bench_function(label, |b| {

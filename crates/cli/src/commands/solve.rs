@@ -1,9 +1,11 @@
 //! The solver commands: `solve` (CSF of a latch split) and `extract`
 //! (CSF → deterministic Mealy sub-solution).
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use langeq_core::batch::manifest::resolve_source;
 use langeq_core::extract::{extract_submachine, submachine_to_automaton, SelectionStrategy};
 use langeq_core::verify::verify_latch_split;
 use langeq_core::{
@@ -15,13 +17,20 @@ use crate::commands::{check_cancelled, CancelGuard, CliError};
 use crate::io;
 
 fn build_problem(p: &Parsed) -> Result<LatchSplitProblem, CliError> {
-    let spec_path = p
+    let spec = p
         .value("spec")
-        .ok_or_else(|| CliError::Usage("--spec <network file> is required".into()))?;
+        .ok_or_else(|| CliError::Usage("--spec <network file | gen:NAME> is required".into()))?;
+    // `gen:` built-ins resolve exactly as in sweep manifests and serve
+    // bodies, and bring the generator's default split.
+    let (net, default_split) = if spec.starts_with("gen:") {
+        resolve_source(spec, Path::new(".")).map_err(CliError::Run)?
+    } else {
+        (io::load_network(spec)?, None)
+    };
     let split = p
         .usize_list("split")?
+        .or(default_split)
         .ok_or_else(|| CliError::Usage("--split K,K,... is required".into()))?;
-    let net = io::load_network(spec_path)?;
     LatchSplitProblem::new(&net, &split)
         .map_err(|e| CliError::Run(format!("latch split failed: {e}")))
 }
@@ -110,14 +119,6 @@ fn run_solver(problem: &LatchSplitProblem, p: &Parsed) -> Result<Solution, CliEr
         .limits(limits(p)?)
         .reorder(reorder(p)?)
         .cancel_token(crate::sigint::install());
-    // Throughput-only knobs: neither changes the computed CSF (see the
-    // `signature_excludes_performance_knobs` contract in langeq-core).
-    if let Some(jobs) = p.number::<usize>("image-jobs")? {
-        request = request.image_jobs(jobs);
-    }
-    if p.flag("image-restrict") {
-        request = request.image_restrict(true);
-    }
     if p.flag("progress") {
         request = request.on_progress(progress_printer());
     }
@@ -127,10 +128,12 @@ fn run_solver(problem: &LatchSplitProblem, p: &Parsed) -> Result<Solution, CliEr
         .map_err(|reason| CliError::Run(format!("could not complete: {reason}")))
 }
 
-/// `langeq solve --spec <net> --split K,... [--flow partitioned|monolithic|algorithm1]
-/// [--mono] [--reorder none|sifting|sifting:N] [--timeout S] [--node-limit N]
-/// [--max-states N] [--image-jobs N] [--image-restrict] [--progress]
-/// [--verify] [--stats] [-o csf.aut]`.
+/// `langeq solve --spec <net | gen:NAME> [--split K,...]
+/// [--flow partitioned|monolithic|algorithm1] [--mono]
+/// [--reorder none|sifting|sifting:N] [--timeout S] [--node-limit N]
+/// [--max-states N] [--progress] [--verify] [--stats] [-o csf.aut]`.
+///
+/// `--split` defaults to the generator's split for a `gen:` spec.
 pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     let p = scan(
         args,
@@ -142,7 +145,6 @@ pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
             "max-states",
             "flow",
             "reorder",
-            "image-jobs",
         ],
     )?;
     p.reject_unknown(&[
@@ -153,8 +155,6 @@ pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
         "max-states",
         "flow",
         "reorder",
-        "image-jobs",
-        "image-restrict",
         "mono",
         "progress",
         "verify",
@@ -208,8 +208,8 @@ pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     })
 }
 
-/// `langeq extract --spec <net> --split K,... [--strategy s] [--verify]
-/// [-o sub.kiss]`.
+/// `langeq extract --spec <net | gen:NAME> [--split K,...] [--strategy s]
+/// [--verify] [-o sub.kiss]`.
 pub fn extract(args: &[String]) -> Result<ExitCode, CliError> {
     let p = scan(
         args,
@@ -221,7 +221,6 @@ pub fn extract(args: &[String]) -> Result<ExitCode, CliError> {
             "max-states",
             "strategy",
             "reorder",
-            "image-jobs",
         ],
     )?;
     p.reject_unknown(&[
@@ -232,8 +231,6 @@ pub fn extract(args: &[String]) -> Result<ExitCode, CliError> {
         "max-states",
         "strategy",
         "reorder",
-        "image-jobs",
-        "image-restrict",
         "progress",
         "verify",
         "minimize",

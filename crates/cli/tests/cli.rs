@@ -654,52 +654,41 @@ fn sweep_journals_identically_for_one_and_four_workers() {
     assert_eq!(strip_timing(&j1), strip_timing(&j4));
 }
 
-/// `--image-jobs` is a throughput knob, not an experiment parameter: the
-/// fused image schedule is derived from problem structure alone, so worker
-/// count must never change the journal (kernel counters included) or the
-/// computed CSF. This drives the contract end to end through the binary.
+/// `--spec gen:NAME` resolves built-ins exactly as manifests and serve
+/// bodies do: the generator's default split applies when `--split` is
+/// absent, and the CSF is byte-identical to solving the same circuit
+/// written out as a `.bench` file.
 #[test]
-fn image_jobs_never_changes_journal_bytes_or_the_csf() {
-    let dir = scratch("imagejobs");
-    for jobs in ["1", "4"] {
-        let manifest = format!(
-            "instance fig3 gen:figure3\n\
-             instance s510 gen:sim_s510 split=3,4,5\n\
-             config part flow=partitioned image-jobs={jobs}\n"
-        );
-        std::fs::write(dir.join("par.sweep"), manifest).unwrap();
-        let journal = format!("j{jobs}.jsonl");
-        let out = langeq(&dir, &["sweep", "par.sweep", "--journal", &journal]);
-        assert!(out.status.success(), "{}", stderr(&out));
-    }
-    let j1 = std::fs::read_to_string(dir.join("j1.jsonl")).unwrap();
-    let j4 = std::fs::read_to_string(dir.join("j4.jsonl")).unwrap();
-    assert_eq!(strip_timing(&j1), strip_timing(&j4));
+fn solve_accepts_a_gen_spec_with_its_default_split() {
+    let dir = scratch("genspec");
+    let bench = langeq_logic::bench_fmt::write(&langeq_logic::gen::figure3()).unwrap();
+    std::fs::write(dir.join("fig3.bench"), bench).unwrap();
+    let out = langeq(
+        &dir,
+        &[
+            "solve",
+            "--spec",
+            "fig3.bench",
+            "--split",
+            "1",
+            "-o",
+            "file.aut",
+        ],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = langeq(&dir, &["solve", "--spec", "gen:figure3", "-o", "gen.aut"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let file = std::fs::read_to_string(dir.join("file.aut")).unwrap();
+    let generated = std::fs::read_to_string(dir.join("gen.aut")).unwrap();
+    assert_eq!(file, generated, "gen:figure3 and its .bench twin differ");
 
-    // And the solve artifact itself: the CSF automaton written at four
-    // image workers is byte-identical to the serial one.
-    std::fs::write(dir.join("fig3.bench"), FIGURE3).unwrap();
-    let mut auts = Vec::new();
-    for jobs in ["1", "4"] {
-        let name = format!("csf{jobs}.aut");
-        let out = langeq(
-            &dir,
-            &[
-                "solve",
-                "--spec",
-                "fig3.bench",
-                "--split",
-                "1",
-                "--image-jobs",
-                jobs,
-                "-o",
-                &name,
-            ],
-        );
-        assert!(out.status.success(), "{}", stderr(&out));
-        auts.push(std::fs::read_to_string(dir.join(&name)).unwrap());
-    }
-    assert_eq!(auts[0], auts[1], "CSF must not depend on --image-jobs");
+    let out = langeq(&dir, &["solve", "--spec", "gen:warp"]);
+    assert_eq!(out.status.code(), Some(3));
+    assert!(
+        stderr(&out).contains("unknown generator"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]

@@ -127,22 +127,6 @@ impl ConfigSpec {
         self
     }
 
-    /// Sets the worker-thread count for compile-time image fusion
-    /// (`--image-jobs`). A pure throughput knob: results, journal bytes,
-    /// and the cell signature are identical for every value.
-    pub fn image_jobs(mut self, jobs: usize) -> Self {
-        self.image.jobs = jobs;
-        self
-    }
-
-    /// Enables the restrict-based image cache (cluster functions are
-    /// restricted against the accumulated from-set before each
-    /// conjoin/quantify step).
-    pub fn image_restrict(mut self, on: bool) -> Self {
-        self.image.use_restrict = on;
-        self
-    }
-
     /// The configured solver, type-erased (constructed per cell, inside the
     /// worker that runs it).
     pub fn solver(&self) -> Box<dyn Solver> {

@@ -37,14 +37,14 @@
 //!    it (checked per call; a hit falls back to the classic chain).
 //! 2. **Chunk products** — consecutive pre-quantified clusters are grouped
 //!    into node-budgeted chunks, and each chunk's product (plus its
-//!    chunk-internal quantifications) is computed on a **thread-confined
-//!    sub-manager** seeded from an LQBS snapshot of the operands. Chunks
-//!    are distributed over [`ImageOptions::jobs`] workers by work stealing;
-//!    results are decoded back onto the coordinating manager **in chunk
-//!    order**, so the coordinator's operation sequence — and therefore
-//!    every result, journal byte, and kernel statistic — is independent of
-//!    the job count. A chunk whose product exceeds the blow-up cap passes
-//!    through unfused.
+//!    chunk-internal quantifications) is computed on a **fresh
+//!    sub-manager** seeded from an LQBS snapshot of the operands, and the
+//!    result is decoded back onto the coordinating manager in chunk order.
+//!    The sub-manager keeps the identity variable order whatever the
+//!    coordinator's order is, so chunk products never perturb the
+//!    coordinator's reorder triggers or operation cache (DESIGN.md §16).
+//!    A chunk whose product exceeds the blow-up cap passes through
+//!    unfused.
 //! 3. The per-call image then runs the ordinary early-quantification chain
 //!    over the (much shorter) fused cluster list.
 //!
@@ -77,7 +77,6 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -104,16 +103,6 @@ pub struct ImageOptions {
     /// Maximum BDD node count of a cluster; adjacent conjuncts are merged
     /// while below this size.
     pub cluster_threshold: usize,
-    /// Worker threads for compile-time chunk fusion (`--image-jobs`).
-    /// Purely a throughput knob: the compiled schedule, every image
-    /// result, and the coordinator's operation sequence are identical for
-    /// every value. `0` is treated as `1`.
-    pub jobs: usize,
-    /// Restrict each cluster against the accumulated from-set before the
-    /// conjoin/quantify step (`C|acc ∧ acc = C ∧ acc`, Coudert–Madre), so
-    /// the apply walks the generalised-cofactor form whose sub-results the
-    /// computed cache re-finds across fixpoint iterations.
-    pub use_restrict: bool,
     /// Compile the fused schedule (pre-quantification + chunk products).
     /// The `false` setting is the serial-baseline ablation switch for the
     /// benchmark suite; it is deliberately not plumbed through configs,
@@ -126,8 +115,6 @@ impl Default for ImageOptions {
         ImageOptions {
             schedule: QuantSchedule::Early,
             cluster_threshold: 1000,
-            jobs: 1,
-            use_restrict: false,
             fusion: true,
         }
     }
@@ -219,7 +206,6 @@ pub struct ImageComputer {
     fused: Option<Fused>,
     quantify: Vec<VarId>,
     schedule: QuantSchedule,
-    use_restrict: bool,
 }
 
 /// This crate's sanitize failure funnel (same diagnostic shape as
@@ -321,20 +307,10 @@ fn finish_schedule(mgr: &BddManager, clusters: Vec<Cluster>, quantify: &[VarId])
     }
 }
 
-/// A chunk's transfer package: snapshot bytes of `[H_0, …, H_k, cube]`
-/// where `cube` is the positive cube of the chunk-internal quantified
-/// variables (constant one when there are none).
-struct ChunkTask {
-    bytes: Vec<u8>,
-    first: usize,
-    len: usize,
-}
-
-/// Computes one chunk's product on a fresh, thread-confined sub-manager:
-/// decode the operands, conjoin, quantify the chunk-internal cube, encode
-/// the result. Returns `None` — "pass through unfused" — when the product
-/// crosses `cap` (or on a decode error). Fully deterministic in the input
-/// bytes, so every worker assignment computes identical outcomes.
+/// Computes one chunk's product on a fresh sub-manager: decode the
+/// operands, conjoin, quantify the chunk-internal cube, encode the result.
+/// Returns `None` — "pass through unfused" — when the product crosses
+/// `cap` (or on a decode error). Fully deterministic in the input bytes.
 fn fuse_chunk(bytes: &[u8], cap: usize) -> Option<Vec<u8>> {
     let m = BddManager::new();
     let roots = snapshot::load(&m, bytes).ok()?;
@@ -360,56 +336,6 @@ fn fuse_chunk(bytes: &[u8], cap: usize) -> Option<Vec<u8>> {
         }
     }
     Some(snapshot::save(&m, &[acc]))
-}
-
-/// Runs every chunk task and returns the outcomes **indexed by chunk**,
-/// regardless of which worker computed what. `jobs <= 1` executes the
-/// identical tasks inline (same sub-manager round trips — the decomposition
-/// never forks on the job count); more jobs steal chunks off a shared
-/// counter on scoped threads, each re-entering the caller's trace context.
-fn run_tasks(tasks: &[ChunkTask], cap: usize, jobs: usize) -> Vec<Option<Vec<u8>>> {
-    let jobs = jobs.max(1).min(tasks.len().max(1));
-    if jobs <= 1 {
-        return tasks
-            .iter()
-            .map(|t| {
-                let mut sp = langeq_obs::span!("image.fuse_chunk", first = t.first, len = t.len);
-                let r = fuse_chunk(&t.bytes, cap);
-                sp.field("fused", r.is_some());
-                r
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let ctx = langeq_obs::trace::current();
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Option<Vec<u8>>)>();
-    let mut results: Vec<Option<Vec<u8>>> = Vec::new();
-    results.resize_with(tasks.len(), || None);
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || {
-                let _guard = ctx.map(|(trace, parent)| langeq_obs::trace::install(trace, parent));
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(t) = tasks.get(i) else { break };
-                    let mut sp =
-                        langeq_obs::span!("image.fuse_chunk", first = t.first, len = t.len);
-                    let r = fuse_chunk(&t.bytes, cap);
-                    sp.field("fused", r.is_some());
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
-            results[i] = r;
-        }
-    });
-    results
 }
 
 /// Compiles the fused schedule from the classic cluster chain, or `None`
@@ -486,8 +412,8 @@ fn build_fused(
 
     // Chunk-internal quantified variables: every holder inside one
     // multi-cluster chunk. Sound to eliminate *iff* the chunk fuses (the
-    // worker quantifies them out of the product); an unfused chunk leaves
-    // them to the residual run-time schedule.
+    // sub-manager quantifies them out of the product); an unfused chunk
+    // leaves them to the residual run-time schedule.
     let mut chunk_vars: Vec<Vec<VarId>> = vec![Vec::new(); chunks.len()];
     for &v in quantify {
         if eliminated.contains(&v) || protected.contains(&v) {
@@ -512,7 +438,10 @@ fn build_fused(
         }
     }
 
-    let tasks: Vec<ChunkTask> = chunks
+    // Each multi-cluster chunk ships as snapshot bytes of
+    // `[H_0, …, H_k, cube]`, where `cube` is the positive cube of its
+    // chunk-internal quantified variables (constant one when none).
+    let outcomes: Vec<Option<Vec<u8>>> = chunks
         .iter()
         .zip(&chunk_vars)
         .filter(|(&(_, len), _)| len >= 2)
@@ -522,14 +451,13 @@ fn build_fused(
                 .map(|c| c.func.clone())
                 .collect();
             roots.push(mgr.positive_cube(vars));
-            ChunkTask {
-                bytes: snapshot::save(mgr, &roots),
-                first,
-                len,
-            }
+            let bytes = snapshot::save(mgr, &roots);
+            let mut sp = langeq_obs::span!("image.fuse_chunk", first = first, len = len);
+            let r = fuse_chunk(&bytes, cap);
+            sp.field("fused", r.is_some());
+            r
         })
         .collect();
-    let outcomes = run_tasks(&tasks, cap, opts.jobs);
 
     // ---- merge, in chunk order, on the coordinator -----------------------
     let mut fused_conjuncts: Vec<Cluster> = Vec::new();
@@ -633,7 +561,6 @@ impl ImageComputer {
             fused,
             quantify,
             schedule: opts.schedule,
-            use_restrict: opts.use_restrict,
         }
     }
 
@@ -693,12 +620,7 @@ impl ImageComputer {
         for (k, (cluster, cube)) in sched.clusters.iter().zip(&sched.step_cubes).enumerate() {
             let sp = langeq_obs::span!("image.cluster", idx = k);
             let t0 = Instant::now();
-            let func = if self.use_restrict {
-                cluster.func.restrict(&acc)
-            } else {
-                cluster.func.clone()
-            };
-            acc = self.mgr.and_exists(&acc, &func, cube);
+            acc = self.mgr.and_exists(&acc, &cluster.func, cube);
             cluster_seconds().observe_ns(t0.elapsed().as_nanos() as u64);
             drop(sp);
             if acc.is_zero() || self.mgr.abort_reason().is_some() {
@@ -910,10 +832,6 @@ mod tests {
                 fusion: false,
                 ..Default::default()
             },
-            ImageOptions {
-                use_restrict: true,
-                ..Default::default()
-            },
         ] {
             let img = ImageComputer::new(&mgr, &parts, &quantify, opts);
             let got = img.image(&init);
@@ -940,28 +858,6 @@ mod tests {
         assert_eq!(got, want);
         // The fused chain must actually be shorter than the classic one.
         assert!(img.num_fused_clusters().unwrap() < img.num_clusters());
-    }
-
-    #[test]
-    fn job_count_never_changes_results() {
-        let mgr = BddManager::new();
-        let (parts, quantify, map, init) = banked(&mgr, 4, 2);
-        let mut images = Vec::new();
-        let mut reaches = Vec::new();
-        for jobs in [1, 2, 4] {
-            let opts = ImageOptions {
-                cluster_threshold: 8,
-                jobs,
-                ..Default::default()
-            };
-            let img = ImageComputer::new(&mgr, &parts, &quantify, opts);
-            images.push(img.image(&init));
-            reaches.push(reachable(&img, &init, &map));
-        }
-        // Hash consing makes handle equality functional equality: the
-        // results must be the *identical* nodes for every job count.
-        assert!(images.windows(2).all(|w| w[0] == w[1]));
-        assert!(reaches.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]
@@ -1012,26 +908,6 @@ mod tests {
             reachable(&img, &init, &map),
             reachable(&unprotected, &init, &map),
             "protection changes strategy, never results"
-        );
-    }
-
-    #[test]
-    fn restrict_mode_matches_on_banked_reachability() {
-        let mgr = BddManager::new();
-        let (parts, quantify, map, init) = banked(&mgr, 2, 2);
-        let plain = ImageComputer::new(&mgr, &parts, &quantify, ImageOptions::default());
-        let restricting = ImageComputer::new(
-            &mgr,
-            &parts,
-            &quantify,
-            ImageOptions {
-                use_restrict: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            reachable(&plain, &init, &map),
-            reachable(&restricting, &init, &map)
         );
     }
 
@@ -1176,10 +1052,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// Random small partitioned relations: the fused schedule at
-        /// several job counts, the classic chain, and the restrict mode
-        /// must all agree with the naive conjoin-then-quantify reference
-        /// on a random from-cube.
+        /// Random small partitioned relations: the fused schedule, the
+        /// classic chain, and the fused schedule compiled on a reordered
+        /// manager must all agree with the naive conjoin-then-quantify
+        /// reference on a random from-cube.
         #[test]
         fn random_networks_agree_across_modes(
             seed in 0u64..1u64 << 48,
@@ -1199,14 +1075,37 @@ mod tests {
             }
             let want = naive_image(&mgr, &parts, &quantify, &from);
             for opts in [
-                ImageOptions { cluster_threshold: 6, jobs: 1, ..Default::default() },
-                ImageOptions { cluster_threshold: 6, jobs: 4, ..Default::default() },
+                ImageOptions { cluster_threshold: 6, ..Default::default() },
                 ImageOptions { cluster_threshold: 6, fusion: false, ..Default::default() },
-                ImageOptions { cluster_threshold: 6, use_restrict: true, ..Default::default() },
             ] {
                 let img = ImageComputer::new(&mgr, &parts, &quantify, opts);
                 proptest::prop_assert_eq!(&img.image(&from), &want);
             }
+
+            // Chunk products run on a fresh sub-manager in the identity
+            // order; compile on a coordinator whose order differs. The
+            // nested pairing `x_k ∧ x_{n-1-k}` is exponential under the
+            // identity order, so one sifting pass must move variables.
+            let identity = mgr.current_order();
+            {
+                let n = mgr.num_vars() as u32;
+                let _pairing = (0..n / 2).fold(mgr.zero(), |acc, k| {
+                    acc.or(&mgr.var(VarId(k)).and(&mgr.var(VarId(n - 1 - k))))
+                });
+                mgr.reorder();
+            }
+            proptest::prop_assert!(mgr.current_order() != identity, "sifting left the identity order");
+            // Protecting the enable and the cs variables keeps the chunk
+            // products non-trivial (`en ∨ ns ≡ cs` per latch) and the fused
+            // chain applicable to a from-set with the enable held low.
+            let en = VarId(0);
+            let mut protected: Vec<VarId> = banked_map(&mgr, banks, width).iter().map(|&(_, c)| c).collect();
+            protected.push(en);
+            let held = from.and(&mgr.var(en).not());
+            let opts = ImageOptions { cluster_threshold: 6, ..Default::default() };
+            let img = ImageComputer::with_protected(&mgr, &parts, &quantify, &protected, opts);
+            proptest::prop_assert!(banks * width < 2 || img.num_fused_clusters().is_some());
+            proptest::prop_assert_eq!(img.image(&held), naive_image(&mgr, &parts, &quantify, &held));
         }
     }
 

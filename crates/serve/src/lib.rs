@@ -72,10 +72,10 @@
 //!
 //! `network` is inline `.bench`/`.blif` text (`format` optional — sniffed);
 //! `"source": "gen:figure3"` submits a built-in generator instead. `split`
-//! may be omitted only for generators with a canonical default. Two
-//! throughput-only keys, `"image_jobs": 4` and `"image_restrict": true`,
-//! tune the partitioned image computation without entering the result
-//! signature — a cached answer satisfies a request at any worker count.
+//! may be omitted only for generators with a canonical default. Unknown
+//! fields are ignored, so a body from an older client that still carries
+//! the removed image worker-count or restrict tuning keys gets the same
+//! answer (and the same cache entry) as one without them.
 //!
 //! An identical request arriving while its twin is still in flight is
 //! **coalesced**: the ack carries the existing job id and

@@ -425,8 +425,8 @@ struct Metrics {
     jobs_cancelled: Counter,
     kernel_cache_lookups: Counter,
     kernel_cache_hits: Counter,
-    /// Computed-cache entries overwritten on collision (the leaky-cache
-    /// eviction rate across fresh solves; see `BddStats::cache_evictions`).
+    /// Computed-cache entries overwritten on collision across fresh
+    /// solves (see `BddStats::cache_evictions`).
     task_cache_evictions: Counter,
     /// Solves this daemon routed to their ring owner.
     forwards: Counter,
@@ -1968,15 +1968,6 @@ fn parse_solve_request(body: &str) -> Result<(InstanceSpec, ConfigSpec), String>
     }
     if let Some(policy) = json.get("reorder").and_then(Json::as_str) {
         config = config.reorder(policy.parse().map_err(|e| format!("reorder: {e}"))?);
-    }
-    // Throughput-only knobs: deliberately OUTSIDE the cell signature, so a
-    // cached result answers a request no matter what worker count the
-    // client asked for.
-    if let Some(jobs) = json.get("image_jobs").and_then(Json::as_u64) {
-        config = config.image_jobs(jobs as usize);
-    }
-    if let Some(on) = json.get("image_restrict").and_then(Json::as_bool) {
-        config = config.image_restrict(on);
     }
     let mut limits = SolverLimits::default();
     if let Some(secs) = json.get("timeout").and_then(Json::as_u64) {

@@ -320,6 +320,14 @@ fn reorder_policy_is_part_of_the_cache_key() {
         .expect("plain accepted");
     let plain = client.wait(plain.job, POLL, WAIT).expect("plain finishes");
 
+    // Unknown body fields are ignored: an older client's removed tuning
+    // keys still land on the plain request's cache entry.
+    let legacy_req = gen_request("gen:counter4")
+        .set("image_jobs", 4u64)
+        .set("image_restrict", true);
+    let legacy = client.submit_solve(&legacy_req).expect("legacy accepted");
+    assert!(legacy.cached, "removed tuning keys changed the cache key");
+
     let sifted_req = gen_request("gen:counter4").set("reorder", "sifting:64");
     let sifted = client.submit_solve(&sifted_req).expect("sifted accepted");
     assert!(!sifted.cached, "reorder-on conflated with reorder-off");
