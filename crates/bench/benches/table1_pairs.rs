@@ -6,10 +6,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use langeq_core::{
-    Control, LatchSplitProblem, Monolithic, MonolithicOptions, Partitioned, PartitionedOptions,
-    Solver, SolverLimits,
-};
+use langeq_core::{Control, LatchSplitProblem, SolveConfig, SolverKind, SolverLimits};
 use langeq_logic::gen;
 
 fn limits() -> SolverLimits {
@@ -28,32 +25,21 @@ fn bench_pairs(c: &mut Criterion) {
     // see BENCHMARKING.md for the full low-variance protocol
     // (LANGEQ_BENCH_SAMPLES raises this further without editing benches).
     group.sample_size(25);
-    // Both flows drive through the same `Solver` trait object.
-    let solvers: Vec<(&str, Box<dyn Solver>)> = vec![
-        (
-            "partitioned",
-            Box::new(Partitioned::new(PartitionedOptions {
-                limits: limits(),
-                ..PartitionedOptions::paper()
-            })),
-        ),
-        (
-            "monolithic",
-            Box::new(Monolithic::new(MonolithicOptions {
-                limits: limits(),
-                ..MonolithicOptions::default()
-            })),
-        ),
-    ];
+    // Both flows run through the same `SolveConfig::solve` dispatch.
+    let configs = [SolverKind::Partitioned, SolverKind::Monolithic].map(|flow| SolveConfig {
+        flow,
+        limits: limits(),
+        ..SolveConfig::default()
+    });
     for inst in gen::table1() {
         if matches!(inst.name, "sim_s349" | "sim_s444" | "sim_s526") {
             continue;
         }
-        for (label, solver) in &solvers {
-            group.bench_function(format!("{}/{}", inst.name, label), |b| {
+        for config in &configs {
+            group.bench_function(format!("{}/{}", inst.name, config.flow), |b| {
                 b.iter(|| {
                     let p = LatchSplitProblem::new(&inst.network, &inst.unknown_latches).unwrap();
-                    std::hint::black_box(solver.solve(&p.equation, &Control::default()))
+                    std::hint::black_box(config.solve(&p.equation, &Control::default()))
                 })
             });
         }

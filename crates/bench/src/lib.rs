@@ -19,9 +19,8 @@ use std::time::{Duration, Instant};
 
 use langeq_core::verify::verify_latch_split;
 use langeq_core::{
-    CellOutcome, CncReason, ConfigSpec, Control, InstanceSpec, LatchSplitProblem, Monolithic,
-    MonolithicOptions, Outcome, Partitioned, PartitionedOptions, Solver, SolverKind, SolverLimits,
-    SuiteOptions, SuitePlan,
+    CellOutcome, CncReason, ConfigSpec, Control, InstanceSpec, LatchSplitProblem, Outcome,
+    SolveConfig, SolverKind, SolverLimits, SuiteOptions, SuitePlan,
 };
 use langeq_logic::gen::{self, Table1Instance};
 
@@ -109,18 +108,18 @@ fn limits(opts: &HarnessOptions) -> SolverLimits {
     }
 }
 
-/// Runs one solver — any [`Solver`] implementation, driven through the
-/// trait — on a fresh problem built from `inst` (fresh problem = fresh
-/// manager, so runs do not share caches; as in the paper, each method runs
-/// standalone). Returns the problem, the outcome, and the wall-clock time.
+/// Runs one configuration on a fresh problem built from `inst` (fresh
+/// problem = fresh manager, so runs do not share caches; as in the paper,
+/// each method runs standalone). Returns the problem, the outcome, and the
+/// wall-clock time.
 pub fn run_solver(
     inst: &Table1Instance,
-    solver: &dyn Solver,
+    config: &SolveConfig,
 ) -> (LatchSplitProblem, Outcome, Duration) {
     let problem =
         LatchSplitProblem::new(&inst.network, &inst.unknown_latches).expect("instance must split");
     let t0 = Instant::now();
-    let outcome = solver.solve(&problem.equation, &Control::default());
+    let outcome = config.solve(&problem.equation, &Control::default());
     let elapsed = t0.elapsed();
     (problem, outcome, elapsed)
 }
@@ -138,16 +137,16 @@ fn to_run_result(outcome: &Outcome, time: Duration) -> RunResult {
 
 /// Runs both symbolic solvers on one instance.
 pub fn run_instance(inst: &Table1Instance, opts: &HarnessOptions) -> Table1Row {
-    let part_solver = Partitioned::new(PartitionedOptions {
+    let part = SolveConfig {
         limits: limits(opts),
-        ..PartitionedOptions::paper()
-    });
-    let mono_solver = Monolithic::new(MonolithicOptions {
-        limits: limits(opts),
-        ..MonolithicOptions::default()
-    });
+        ..SolveConfig::default()
+    };
+    let mono = SolveConfig {
+        flow: SolverKind::Monolithic,
+        ..part
+    };
 
-    let (problem, part_outcome, part_time) = run_solver(inst, &part_solver);
+    let (problem, part_outcome, part_time) = run_solver(inst, &part);
     let verified = match (&part_outcome, opts.verify) {
         (Outcome::Solved(sol), true) => Some(verify_latch_split(&problem, &sol.csf).all_passed()),
         _ => None,
@@ -156,7 +155,7 @@ pub fn run_instance(inst: &Table1Instance, opts: &HarnessOptions) -> Table1Row {
     drop(part_outcome);
     drop(problem);
 
-    let (_, mono_outcome, mono_time) = run_solver(inst, &mono_solver);
+    let (_, mono_outcome, mono_time) = run_solver(inst, &mono);
     let monolithic = to_run_result(&mono_outcome, mono_time);
 
     let n = &inst.network;
@@ -446,7 +445,7 @@ mod tests {
         assert_eq!(plan.configs()[0].name, "part");
         assert_eq!(plan.configs()[1].name, "mono");
         assert_eq!(
-            plan.configs()[0].limits.time_limit,
+            plan.configs()[0].config.limits.time_limit,
             Some(HarnessOptions::default().time_limit)
         );
     }

@@ -9,6 +9,9 @@ pub mod sweep;
 use std::time::Instant;
 
 use langeq_bdd::BddManager;
+use langeq_core::{SolveConfig, SolverKind};
+
+use crate::cliargs::Parsed;
 
 /// CLI failure modes, mapped to exit codes in `main`.
 #[derive(Debug)]
@@ -17,6 +20,34 @@ pub enum CliError {
     Usage(String),
     /// Valid invocation that failed while running (exit 3).
     Run(String),
+}
+
+/// `local` value-taking options followed by the config keys
+/// ([`SolveConfig::KEYS`]), each taken as `--KEY value`.
+pub fn with_config_keys<'a>(local: &[&'a str]) -> Vec<&'a str> {
+    local.iter().copied().chain(SolveConfig::KEYS).collect()
+}
+
+/// Fills a [`SolveConfig`] from the `--KEY value` options through its
+/// codec; `--mono` is an alias for `--flow monolithic`.
+pub fn solve_config(p: &Parsed) -> Result<SolveConfig, CliError> {
+    let mut config = SolveConfig::default();
+    for key in SolveConfig::KEYS {
+        if let Some(value) = p.value(key) {
+            config
+                .set(key, value)
+                .map_err(|e| CliError::Usage(format!("--{key}: {e}")))?;
+        }
+    }
+    if p.flag("mono") {
+        if p.value("flow").is_some() {
+            return Err(CliError::Usage(
+                "--mono and --flow are mutually exclusive".into(),
+            ));
+        }
+        config.flow = SolverKind::Monolithic;
+    }
+    Ok(config)
 }
 
 /// Arms Ctrl-C cancellation on a manager for the duration of a command:

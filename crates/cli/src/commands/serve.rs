@@ -15,12 +15,12 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use langeq_core::CellReport;
+use langeq_core::{CellReport, SolveConfig};
 use langeq_report::Json;
 use langeq_serve::{Client, ServeOptions, Server};
 
 use crate::cliargs::{scan, Parsed};
-use crate::commands::CliError;
+use crate::commands::{solve_config, with_config_keys, CliError};
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7878";
 
@@ -126,15 +126,10 @@ pub fn serve(args: &[String]) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Value-taking submit options besides the config keys.
 const SUBMIT_VALUE_KEYS: &[&str] = &[
     "addr",
     "split",
-    "flow",
-    "trim",
-    "reorder",
-    "timeout",
-    "node-limit",
-    "max-states",
     "name",
     "poll-ms",
     "wait-secs",
@@ -144,9 +139,8 @@ const SUBMIT_VALUE_KEYS: &[&str] = &[
 ];
 
 /// `langeq submit <net.bench|net.blif|gen:NAME|manifest.sweep>
-/// [--addr HOST:PORT] [--token TOKEN] [--split K,K,...] [--flow F]
-/// [--trim on|off] [--reorder none|sifting|sifting:N] [--timeout S]
-/// [--node-limit N] [--max-states N] [--name NAME] [--no-wait]
+/// [--addr HOST:PORT] [--token TOKEN] [--split K,K,...] [CONFIG FLAGS]
+/// [--name NAME] [--no-wait]
 /// [--poll-ms N] [--wait-secs N] [--snapshot-out PATH] [--json]
 /// [--no-retry]` — or `langeq submit --cancel <job> [--addr HOST:PORT]` to
 /// fire a queued/running job's cancel token. A fleet daemon may forward
@@ -155,8 +149,9 @@ const SUBMIT_VALUE_KEYS: &[&str] = &[
 /// automatically. Transport failures are retried (3 attempts, 250 ms
 /// backoff) unless `--no-retry` is given.
 pub fn submit(args: &[String]) -> Result<ExitCode, CliError> {
-    let p = scan(args, SUBMIT_VALUE_KEYS)?;
-    let mut known: Vec<&str> = SUBMIT_VALUE_KEYS.to_vec();
+    let values = with_config_keys(SUBMIT_VALUE_KEYS);
+    let p = scan(args, &values)?;
+    let mut known = values.clone();
     known.extend(["no-wait", "json", "no-retry"]);
     p.reject_unknown(&known)?;
 
@@ -219,16 +214,7 @@ pub fn submit(args: &[String]) -> Result<ExitCode, CliError> {
     );
 
     let ack = if is_manifest {
-        for opt in [
-            "split",
-            "flow",
-            "trim",
-            "reorder",
-            "timeout",
-            "node-limit",
-            "max-states",
-            "name",
-        ] {
+        for opt in ["split", "name"].into_iter().chain(SolveConfig::KEYS) {
             if p.value(opt).is_some() {
                 return Err(CliError::Usage(format!(
                     "--{opt} conflicts with a manifest; declare it in `{source}` instead"
@@ -439,32 +425,13 @@ fn solve_body(p: &Parsed, source: &str) -> Result<Json, CliError> {
             split.iter().map(|&k| Json::from(k)).collect::<Vec<Json>>(),
         );
     }
-    if let Some(flow) = p.value("flow") {
-        body = body.set("flow", flow);
-    }
-    if let Some(policy) = p.value("reorder") {
-        body = body.set("reorder", policy);
-    }
-    if let Some(trim) = p.value("trim") {
-        let trim = match trim {
-            "on" | "true" | "1" => true,
-            "off" | "false" | "0" => false,
-            other => {
-                return Err(CliError::Usage(format!(
-                    "bad --trim value `{other}` (on|off)"
-                )));
-            }
-        };
-        body = body.set("trim", trim);
-    }
-    if let Some(secs) = p.number::<u64>("timeout")? {
-        body = body.set("timeout", secs);
-    }
-    if let Some(n) = p.number::<u64>("node-limit")? {
-        body = body.set("node_limit", n);
-    }
-    if let Some(n) = p.number::<u64>("max-states")? {
-        body = body.set("max_states", n);
+    // Checked here with the daemon's own codec, then sent as text under
+    // the body's underscore spelling.
+    solve_config(p)?;
+    for key in SolveConfig::KEYS {
+        if let Some(value) = p.value(key) {
+            body = body.set(&key.replace('-', "_"), value);
+        }
     }
     if let Some(name) = p.value("name") {
         body = body.set("name", name);

@@ -8,12 +8,10 @@ use std::time::{Duration, Instant};
 use langeq_core::batch::manifest::resolve_source;
 use langeq_core::extract::{extract_submachine, submachine_to_automaton, SelectionStrategy};
 use langeq_core::verify::verify_latch_split;
-use langeq_core::{
-    LatchSplitProblem, ReorderPolicy, Solution, SolveEvent, SolveRequest, SolverKind, SolverLimits,
-};
+use langeq_core::{Control, LatchSplitProblem, Solution, SolveConfig, SolveEvent};
 
 use crate::cliargs::{scan, Parsed};
-use crate::commands::{check_cancelled, CancelGuard, CliError};
+use crate::commands::{check_cancelled, solve_config, with_config_keys, CancelGuard, CliError};
 use crate::io;
 
 fn build_problem(p: &Parsed) -> Result<LatchSplitProblem, CliError> {
@@ -33,37 +31,6 @@ fn build_problem(p: &Parsed) -> Result<LatchSplitProblem, CliError> {
         .ok_or_else(|| CliError::Usage("--split K,K,... is required".into()))?;
     LatchSplitProblem::new(&net, &split)
         .map_err(|e| CliError::Run(format!("latch split failed: {e}")))
-}
-
-fn limits(p: &Parsed) -> Result<SolverLimits, CliError> {
-    let defaults = SolverLimits::default();
-    Ok(SolverLimits {
-        node_limit: p.number::<usize>("node-limit")?,
-        time_limit: p.number::<u64>("timeout")?.map(Duration::from_secs),
-        max_states: p.number::<usize>("max-states")?.or(defaults.max_states),
-    })
-}
-
-fn reorder(p: &Parsed) -> Result<ReorderPolicy, CliError> {
-    match p.value("reorder") {
-        None => Ok(ReorderPolicy::None),
-        Some(text) => text
-            .parse()
-            .map_err(|e| CliError::Usage(format!("--reorder: {e}"))),
-    }
-}
-
-fn flow(p: &Parsed) -> Result<SolverKind, CliError> {
-    match (p.value("flow"), p.flag("mono")) {
-        (None, false) => Ok(SolverKind::Partitioned),
-        (None, true) => Ok(SolverKind::Monolithic),
-        (Some(name), false) => name
-            .parse()
-            .map_err(|e| CliError::Usage(format!("--flow: {e}"))),
-        (Some(_), true) => Err(CliError::Usage(
-            "--mono and --flow are mutually exclusive".into(),
-        )),
-    }
 }
 
 /// Builds the stderr progress line printer registered with `--progress`.
@@ -114,55 +81,35 @@ fn progress_printer() -> impl FnMut(&SolveEvent) {
     }
 }
 
-fn run_solver(problem: &LatchSplitProblem, p: &Parsed) -> Result<Solution, CliError> {
-    let mut request = SolveRequest::new(flow(p)?)
-        .limits(limits(p)?)
-        .reorder(reorder(p)?)
-        .cancel_token(crate::sigint::install());
-    if p.flag("progress") {
-        request = request.on_progress(progress_printer());
+fn run_solver(
+    problem: &LatchSplitProblem,
+    config: &SolveConfig,
+    progress: bool,
+) -> Result<Solution, CliError> {
+    let mut ctrl = Control::new().with_token(crate::sigint::install());
+    if progress {
+        ctrl = ctrl.with_observer(progress_printer());
     }
-    request
-        .run(&problem.equation)
+    config
+        .solve(&problem.equation, &ctrl)
         .into_result()
         .map_err(|reason| CliError::Run(format!("could not complete: {reason}")))
 }
 
-/// `langeq solve --spec <net | gen:NAME> [--split K,...]
-/// [--flow partitioned|monolithic|algorithm1] [--mono]
-/// [--reorder none|sifting|sifting:N] [--timeout S] [--node-limit N]
-/// [--max-states N] [--progress] [--verify] [--stats] [-o csf.aut]`.
+/// `langeq solve --spec <net | gen:NAME> [--split K,...] [CONFIG FLAGS]
+/// [--mono] [--progress] [--verify] [--stats] [-o csf.aut]`, where the
+/// config flags are `--KEY value` for every [`SolveConfig::KEYS`] entry.
 ///
 /// `--split` defaults to the generator's split for a `gen:` spec.
 pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
-    let p = scan(
-        args,
-        &[
-            "spec",
-            "split",
-            "timeout",
-            "node-limit",
-            "max-states",
-            "flow",
-            "reorder",
-        ],
-    )?;
-    p.reject_unknown(&[
-        "spec",
-        "split",
-        "timeout",
-        "node-limit",
-        "max-states",
-        "flow",
-        "reorder",
-        "mono",
-        "progress",
-        "verify",
-        "stats",
-        "o",
-    ])?;
+    let values = with_config_keys(&["spec", "split"]);
+    let p = scan(args, &values)?;
+    let mut known = values.clone();
+    known.extend(["mono", "progress", "verify", "stats", "o"]);
+    p.reject_unknown(&known)?;
+    let config = solve_config(&p)?;
     let problem = build_problem(&p)?;
-    let sol = run_solver(&problem, &p)?;
+    let sol = run_solver(&problem, &config, p.flag("progress"))?;
     println!(
         "CSF: {} states, {} transitions",
         sol.csf.num_states(),
@@ -208,34 +155,15 @@ pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     })
 }
 
-/// `langeq extract --spec <net | gen:NAME> [--split K,...] [--strategy s]
-/// [--verify] [-o sub.kiss]`.
+/// `langeq extract --spec <net | gen:NAME> [--split K,...] [CONFIG FLAGS]
+/// [--strategy s] [--minimize] [--progress] [--verify] [-o sub.kiss]`.
 pub fn extract(args: &[String]) -> Result<ExitCode, CliError> {
-    let p = scan(
-        args,
-        &[
-            "spec",
-            "split",
-            "timeout",
-            "node-limit",
-            "max-states",
-            "strategy",
-            "reorder",
-        ],
-    )?;
-    p.reject_unknown(&[
-        "spec",
-        "split",
-        "timeout",
-        "node-limit",
-        "max-states",
-        "strategy",
-        "reorder",
-        "progress",
-        "verify",
-        "minimize",
-        "o",
-    ])?;
+    let values = with_config_keys(&["spec", "split", "strategy"]);
+    let p = scan(args, &values)?;
+    let mut known = values.clone();
+    known.extend(["progress", "verify", "minimize", "o"]);
+    p.reject_unknown(&known)?;
+    let config = solve_config(&p)?;
     let strategy = match p.value("strategy").unwrap_or("lexmin") {
         "lexmin" => SelectionStrategy::LexMinOutput,
         "first" => SelectionStrategy::FirstTransition,
@@ -247,7 +175,7 @@ pub fn extract(args: &[String]) -> Result<ExitCode, CliError> {
         }
     };
     let problem = build_problem(&p)?;
-    let sol = run_solver(&problem, &p)?;
+    let sol = run_solver(&problem, &config, p.flag("progress"))?;
     let vars = &problem.equation.vars;
     // Extraction and verification run after the solve finished; arm the
     // Ctrl-C guard so they cancel cleanly as well.

@@ -19,42 +19,17 @@ use std::time::Duration;
 
 use langeq_core::batch::manifest::load_manifest;
 use langeq_core::{
-    ConfigSpec, InstanceSpec, JournalStore, ReorderPolicy, SharedDirStore, SolverKind,
-    SolverLimits, SuiteEvent, SuiteOptions, SuitePlan,
+    ConfigSpec, InstanceSpec, JournalStore, SharedDirStore, SolveConfig, SuiteEvent, SuiteOptions,
+    SuitePlan,
 };
 
 use crate::cliargs::{scan, Parsed};
-use crate::commands::CliError;
+use crate::commands::{solve_config, with_config_keys, CliError};
 use crate::io;
 
-const VALUE_KEYS: &[&str] = &[
-    "split",
-    "flows",
-    "timeout",
-    "node-limit",
-    "max-states",
-    "reorder",
-    "jobs",
-    "budget",
-    "journal",
-    "store",
-];
-
-const KNOWN: &[&str] = &[
-    "split",
-    "flows",
-    "timeout",
-    "node-limit",
-    "max-states",
-    "reorder",
-    "jobs",
-    "budget",
-    "journal",
-    "store",
-    "resume",
-    "json",
-    "progress",
-];
+/// Value-taking options besides the config keys (`--flow` excepted:
+/// `--flows` is its list form here).
+const VALUE_KEYS: &[&str] = &["split", "flows", "jobs", "budget", "journal", "store"];
 
 /// True when the positional names a sweep manifest rather than a network.
 fn is_manifest(path: &str) -> bool {
@@ -70,14 +45,7 @@ fn is_manifest(path: &str) -> bool {
 
 /// Builds the plan from a manifest positional.
 fn plan_from_manifest(p: &Parsed, path: &str) -> Result<SuitePlan, CliError> {
-    for opt in [
-        "split",
-        "flows",
-        "timeout",
-        "node-limit",
-        "max-states",
-        "reorder",
-    ] {
+    for opt in ["split", "flows"].into_iter().chain(SolveConfig::KEYS) {
         if p.value(opt).is_some() {
             return Err(CliError::Usage(format!(
                 "--{opt} conflicts with a manifest; declare it in `{path}` instead"
@@ -87,24 +55,14 @@ fn plan_from_manifest(p: &Parsed, path: &str) -> Result<SuitePlan, CliError> {
     load_manifest(Path::new(path)).map_err(|e| CliError::Run(format!("{path}: {e}")))
 }
 
-/// Builds the plan from network-file positionals plus `--split`/`--flows`.
+/// Builds the plan from network-file positionals plus `--split`/`--flows`
+/// and the config flags.
 fn plan_from_files(p: &Parsed, files: &[String]) -> Result<SuitePlan, CliError> {
     let split = p
         .usize_list("split")?
         .ok_or_else(|| CliError::Usage("--split K,K,... is required with network files".into()))?;
-    let defaults = SolverLimits::default();
-    let limits = SolverLimits {
-        node_limit: p.number::<usize>("node-limit")?,
-        time_limit: p.number::<u64>("timeout")?.map(Duration::from_secs),
-        max_states: p.number::<usize>("max-states")?.or(defaults.max_states),
-    };
+    let base = solve_config(p)?;
     let flows = p.value("flows").unwrap_or("partitioned,monolithic");
-    let reorder: ReorderPolicy = match p.value("reorder") {
-        None => ReorderPolicy::None,
-        Some(text) => text
-            .parse()
-            .map_err(|e| CliError::Usage(format!("--reorder: {e}")))?,
-    };
 
     let mut plan = SuitePlan::new();
     for file in files {
@@ -117,15 +75,12 @@ fn plan_from_files(p: &Parsed, files: &[String]) -> Result<SuitePlan, CliError> 
         plan = plan.instance(InstanceSpec::new(name, network, split.clone()));
     }
     for flow in flows.split(',').filter(|f| !f.is_empty()) {
-        let kind: SolverKind = flow
-            .trim()
-            .parse()
+        let mut config = base;
+        config
+            .set("flow", flow.trim())
             .map_err(|e| CliError::Usage(format!("--flows: {e}")))?;
-        plan = plan.config(
-            ConfigSpec::new(kind.to_string(), kind)
-                .limits(limits)
-                .reorder(reorder),
-        );
+        let name = config.flow.to_string();
+        plan = plan.config(ConfigSpec { name, config });
     }
     Ok(plan)
 }
@@ -199,8 +154,7 @@ fn progress_printer() -> impl FnMut(&SuiteEvent) {
 }
 
 /// `langeq sweep <manifest.sweep | net...> [--split K,...] [--flows f,f]
-/// [--timeout S] [--node-limit N] [--max-states N]
-/// [--reorder none|sifting|sifting:N] [--jobs N] [--budget S]
+/// [CONFIG FLAGS but --flow] [--jobs N] [--budget S]
 /// [--journal PATH | --store DIR] [--resume] [--json] [--progress]`.
 ///
 /// `--store DIR` journals into a shared multi-writer directory (the same
@@ -208,8 +162,14 @@ fn progress_printer() -> impl FnMut(&SuiteEvent) {
 /// and a daemon fleet — pool one content-addressed result set; `--resume`
 /// then skips cells *any* writer already finished.
 pub fn sweep(args: &[String]) -> Result<ExitCode, CliError> {
-    let p = scan(args, VALUE_KEYS)?;
-    p.reject_unknown(KNOWN)?;
+    let values: Vec<&str> = with_config_keys(VALUE_KEYS)
+        .into_iter()
+        .filter(|&key| key != "flow")
+        .collect();
+    let p = scan(args, &values)?;
+    let mut known = values.clone();
+    known.extend(["resume", "json", "progress"]);
+    p.reject_unknown(&known)?;
     let positionals = p.positionals();
     let Some(first) = positionals.first() else {
         return Err(CliError::Usage(

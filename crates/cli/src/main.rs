@@ -46,22 +46,27 @@ Check commands (exit 0 = holds, 1 = fails):
   contains <a> <b>                    L(b) ⊆ L(a)?
   equivalent <a> <b>                  L(a) = L(b)?
 
-Solver commands:
+Solver commands ([CONFIG] is the config-flag block below):
   solve --spec <net> --split K,K,...  compute the CSF of a latch split
         (--spec gen:NAME takes a built-in; --split defaults to its split)
-        [--flow partitioned|monolithic|algorithm1] [--mono]
-        [--reorder none|sifting|sifting:N] (dynamic BDD variable reordering)
-        [--timeout SECS] [--node-limit N] [--max-states N]
+        [CONFIG] [--mono] (same as --flow monolithic)
         [--progress] [--verify] [-o csf.aut] [--stats]
   extract --spec <net> --split K,...  CSF → deterministic Mealy sub-solution
-        [--strategy lexmin|first|selfloop] [--minimize]
-        [-o sub.kiss] [--verify]
+        [CONFIG] [--strategy lexmin|first|selfloop] [--minimize]
+        [--progress] [-o sub.kiss] [--verify]
   sweep <manifest.sweep>              batch (instance × config) sweep with a
   sweep <net...> --split K,K,...      work-stealing pool and a JSONL journal
-        [--flows part,mono,...] [--timeout SECS] [--node-limit N]
-        [--reorder none|sifting|sifting:N] (or per-config reorder= in the manifest)
+        [--flows part,mono,...] [CONFIG without --flow] (a manifest sets
+        these per `config` line instead)
         [--jobs N] [--budget SECS] [--journal PATH | --store DIR] [--resume]
         [--json] [--progress]
+
+Config flags [CONFIG] — the same keys as a manifest `config` line
+(KEY=VALUE) and a serve solve body (`_` for `-`):
+  --flow partitioned|monolithic|algorithm1 (or part|mono|alg1)
+  --trim on|off                       §3.2 DCN trimming (partitioned flow)
+  --reorder none|sifting|sifting:N    dynamic BDD variable reordering
+  --timeout SECS  --node-limit N  --max-states N   resource limits (CNC)
 
 Service commands (HTTP/JSON job API, content-addressed result cache):
   serve [--addr HOST:PORT]            run the solve daemon; repeated identical
@@ -73,11 +78,10 @@ Service commands (HTTP/JSON job API, content-addressed result cache):
         [--max-body BYTES] [--slow-ms MS [--slow-log PATH]] (JSONL slow-solve log)
   submit <net|gen:NAME|m.sweep>       send one solve (or a manifest sweep) to
         [--addr HOST:PORT]            a running daemon and poll the job to
-        [--split K,K,...] [--flow F]  completion (following a fleet forward
-        [--trim on|off] [--reorder P] to its ring owner automatically)
-        [--timeout S] [--node-limit N]
-        [--max-states N] [--name NAME] [--no-wait] [--poll-ms N]
-        [--wait-secs N] [--token TOK] [--snapshot-out PATH] [--json]
+        [--split K,K,...] [CONFIG]    completion (following a fleet forward
+        [--name NAME] [--no-wait]     to its ring owner automatically)
+        [--poll-ms N] [--wait-secs N] [--token TOK] [--snapshot-out PATH]
+        [--json] [--no-retry]
   submit --cancel <job> [--addr ...]  fire a queued/running job's cancel token
   trace <id> [--addr HOST:PORT]       render the span tree of one request:
         [--token TOK] [--json]        per-phase timings, merged across the fleet

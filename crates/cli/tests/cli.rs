@@ -692,6 +692,46 @@ fn solve_accepts_a_gen_spec_with_its_default_split() {
 }
 
 #[test]
+fn config_flags_reach_solve_and_sweep_through_the_codec() {
+    let dir = scratch("configflags");
+    // `--trim` is one of the shared config keys, so `solve` takes it too.
+    let out = langeq(&dir, &["solve", "--spec", "gen:figure3", "--trim", "off"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("CSF:"), "{}", stdout(&out));
+    let out = langeq(
+        &dir,
+        &["solve", "--spec", "gen:figure3", "--trim", "sideways"],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("bad trim value"), "{}", stderr(&out));
+
+    // A file sweep lands the flag in the journaled signature.
+    std::fs::write(
+        dir.join("net.bench"),
+        "INPUT(i)\nOUTPUT(o)\ncs = DFF(ns)\nns = AND(i, cs)\no = NOT(cs)\n",
+    )
+    .unwrap();
+    let out = langeq(
+        &dir,
+        &[
+            "sweep",
+            "net.bench",
+            "--split",
+            "0",
+            "--flows",
+            "part",
+            "--trim",
+            "off",
+            "--json",
+        ],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    let journal = std::fs::read_to_string(dir.join("sweep.journal.jsonl")).unwrap();
+    assert_eq!(journal.lines().count(), 1, "{journal}");
+    assert!(journal.contains("trim=false"), "{journal}");
+}
+
+#[test]
 fn sweep_over_network_files_uses_flows_and_split() {
     let dir = scratch("sweepfiles");
     std::fs::write(dir.join("fig3.bench"), FIGURE3).unwrap();

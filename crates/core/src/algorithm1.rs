@@ -114,15 +114,16 @@ pub struct GenericSolution {
 
 /// Runs Algorithm 1 on explicit automata. Only suitable for small
 /// instances; see the module docs. For a resource-limited, cancellable run,
-/// use the [`Algorithm1`](crate::solver::Algorithm1) solver instead.
+/// solve with [`SolverKind::Algorithm1`](crate::SolverKind::Algorithm1)
+/// instead.
 pub fn solve_generic(eq: &LanguageEquation) -> GenericSolution {
     run_pipeline(eq, &mut |_| Ok(())).expect("the no-op observer never aborts the pipeline")
 }
 
 /// The pipeline body: `observe` is called with the current intermediate
 /// automaton after every step and may abort the run (the
-/// [`Algorithm1`](crate::solver::Algorithm1) solver threads its control
-/// checkpoints through here).
+/// [`SolverKind::Algorithm1`](crate::SolverKind::Algorithm1) flow threads
+/// its control checkpoints through here).
 pub(crate) fn run_pipeline(
     eq: &LanguageEquation,
     observe: &mut dyn FnMut(&Automaton) -> Result<(), CncReason>,

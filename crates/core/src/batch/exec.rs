@@ -445,7 +445,6 @@ fn run_cell(
                 true,
             ),
             Ok(problem) => {
-                let solver = cell.config.solver();
                 let sink = std::rc::Rc::clone(&last_sample);
                 let mut last_sent: Option<Instant> = None;
                 let mut ctrl = Control::new().with_token(token.clone()).with_observer(
@@ -487,7 +486,7 @@ fn run_cell(
                 // does — after problem construction — so it measures the
                 // time the *solve* got, not the whole cell.
                 let solve_t0 = Instant::now();
-                match solver.solve(&problem.equation, &ctrl) {
+                match cell.config.config.solve(&problem.equation, &ctrl) {
                     Outcome::Solved(sol) => {
                         // The solution's BDD manager dies with this scope;
                         // hand it to the hook while it is still alive.
@@ -516,6 +515,7 @@ fn run_cell(
                         // rerun with a fresh budget deserves to retry it.
                         let fair = cell
                             .config
+                            .config
                             .limits
                             .time_limit
                             .is_some_and(|limit| solve_t0.elapsed() >= limit);
@@ -531,7 +531,7 @@ fn run_cell(
         cell: cell.id,
         instance: cell.instance.name.clone(),
         config: cell.config.name.clone(),
-        kind: cell.config.kind,
+        kind: cell.config.config.flow,
         sig,
         outcome,
         kernel: last_sample.get(),
@@ -560,7 +560,11 @@ pub(crate) fn execute(plan: &SuitePlan, mut opts: SuiteOptions) -> Result<SuiteR
     let sigs: Vec<String> = plan
         .cells()
         .map(|c| {
-            crate::sig::cell_signature_with(&fingerprints[c.id / nconfigs], c.instance, c.config)
+            crate::sig::cell_signature_with(
+                &fingerprints[c.id / nconfigs],
+                c.instance,
+                &c.config.config,
+            )
         })
         .collect();
 
@@ -766,7 +770,7 @@ pub(crate) fn execute(plan: &SuitePlan, mut opts: SuiteOptions) -> Result<SuiteR
                     .unwrap_or_default(),
                 kind: plan
                     .cell(id)
-                    .map(|c| c.config.kind)
+                    .map(|c| c.config.config.flow)
                     .unwrap_or(SolverKind::Partitioned),
                 sig: sigs.get(id).cloned().unwrap_or_default(),
                 outcome: CellOutcome::Failed("worker produced no report".to_string()),

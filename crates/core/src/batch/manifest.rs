@@ -22,9 +22,10 @@
 //! # Zero matches is an error.
 //! instance * circuits/*.bench split=0
 //!
-//! # config <name> [flow=partitioned|monolithic|algorithm1] [trim=on|off]
-//! #               [reorder=none|sifting|sifting:THRESHOLD]
-//! #               [timeout=SECS] [node-limit=N] [max-states=N]
+//! # config <name> [KEY=VALUE ...]   with the keys of SolveConfig::set:
+//! #   flow=partitioned|monolithic|algorithm1  trim=on|off
+//! #   reorder=none|sifting|sifting:THRESHOLD
+//! #   timeout=SECS  node-limit=N  max-states=N
 //! config part flow=partitioned
 //! config mono flow=monolithic timeout=60
 //! config sift flow=partitioned reorder=sifting
@@ -35,12 +36,11 @@
 //! files with the same stem in different directories collide there).
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use langeq_logic::gen;
 
 use crate::batch::{ConfigSpec, InstanceSpec, SuitePlan};
-use crate::solver::{SolverKind, SolverLimits};
+use crate::solver::SolverKind;
 
 /// A manifest parse failure: 1-based line number and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -336,7 +336,6 @@ fn parse_config<'a>(
         .next()
         .ok_or_else(|| ManifestError::at(lineno, "config needs a name"))?;
     let mut spec = ConfigSpec::new(name, SolverKind::Partitioned);
-    let mut limits = SolverLimits::default();
     for word in words {
         let Some((key, value)) = word.split_once('=') else {
             return Err(ManifestError::at(
@@ -344,58 +343,11 @@ fn parse_config<'a>(
                 format!("config option `{word}` is not key=value"),
             ));
         };
-        match key {
-            "flow" => {
-                spec.kind = value
-                    .parse()
-                    .map_err(|e| ManifestError::at(lineno, format!("{e}")))?;
-            }
-            "trim" => {
-                spec.trim_dcn = match value {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    _ => {
-                        return Err(ManifestError::at(
-                            lineno,
-                            format!("bad trim value `{value}` (on|off)"),
-                        ));
-                    }
-                };
-            }
-            "reorder" => {
-                spec.reorder = value
-                    .parse()
-                    .map_err(|e| ManifestError::at(lineno, format!("{e}")))?;
-            }
-            "timeout" => {
-                limits.time_limit = Some(Duration::from_secs(parse_number(lineno, key, value)?));
-            }
-            "node-limit" => {
-                limits.node_limit = Some(parse_number::<usize>(lineno, key, value)?);
-            }
-            "max-states" => {
-                limits.max_states = Some(parse_number::<usize>(lineno, key, value)?);
-            }
-            other => {
-                return Err(ManifestError::at(
-                    lineno,
-                    format!("unknown config option `{other}`"),
-                ));
-            }
-        }
+        spec.config
+            .set(key, value)
+            .map_err(|e| ManifestError::at(lineno, e.to_string()))?;
     }
-    spec.limits = limits;
     Ok(spec)
-}
-
-fn parse_number<T: std::str::FromStr>(
-    lineno: usize,
-    key: &str,
-    value: &str,
-) -> Result<T, ManifestError> {
-    value
-        .parse()
-        .map_err(|_| ManifestError::at(lineno, format!("bad number `{value}` for {key}=")))
 }
 
 fn parse_usize_list(lineno: usize, key: &str, value: &str) -> Result<Vec<usize>, ManifestError> {
@@ -413,6 +365,7 @@ fn parse_usize_list(lineno: usize, key: &str, value: &str) -> Result<Vec<usize>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn full_manifest_parses() {
@@ -432,26 +385,26 @@ config sift flow=partitioned reorder=sifting:5000
         assert_eq!(plan.configs().len(), 4);
         assert_eq!(plan.num_cells(), 12);
         assert_eq!(
-            plan.configs()[3].reorder,
+            plan.configs()[3].config.reorder,
             langeq_bdd::ReorderPolicy::Sifting {
                 auto_threshold: 5000,
                 max_growth: langeq_bdd::DEFAULT_MAX_GROWTH,
             }
         );
         assert_eq!(
-            plan.configs()[0].reorder,
+            plan.configs()[0].config.reorder,
             langeq_bdd::ReorderPolicy::None,
             "reorder defaults to off"
         );
         assert_eq!(plan.instances()[0].unknown_latches, vec![1]);
         assert_eq!(plan.instances()[1].unknown_latches, vec![2, 3]);
         assert_eq!(plan.instances()[2].unknown_latches, vec![3, 4, 5]);
-        let mono = &plan.configs()[1];
-        assert_eq!(mono.kind, SolverKind::Monolithic);
+        let mono = &plan.configs()[1].config;
+        assert_eq!(mono.flow, SolverKind::Monolithic);
         assert_eq!(mono.limits.time_limit, Some(Duration::from_secs(60)));
         assert_eq!(mono.limits.node_limit, Some(1_000_000));
         assert_eq!(mono.limits.max_states, Some(500_000));
-        assert!(!plan.configs()[2].trim_dcn);
+        assert!(!plan.configs()[2].config.trim_dcn);
         plan.validate().unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! Batch sweeps: the second-tier **`Suite`** API over the [`Solver`] trait.
+//! Batch sweeps: the second-tier **`Suite`** API over [`SolveConfig`].
 //!
 //! The paper's evaluation (Table 1) is not one solve but a *sweep*: many
 //! benchmark instances, each run under several solver configurations. This
@@ -6,7 +6,7 @@
 //!
 //! * a [`SuitePlan`] enumerates **cells** = (problem instance ×
 //!   configuration): [`InstanceSpec`] holds a network and its latch split,
-//!   [`ConfigSpec`] a [`SolverKind`] plus options and limits;
+//!   [`ConfigSpec`] a named [`SolveConfig`];
 //! * [`SuitePlan::execute`] runs the cells on a **work-stealing pool** of
 //!   worker threads — BDD managers are thread-confined, so each worker
 //!   builds a fresh [`LatchSplitProblem`](crate::LatchSplitProblem) per
@@ -43,13 +43,9 @@ mod exec;
 use std::time::Duration;
 
 use langeq_bdd::ReorderPolicy;
-use langeq_image::ImageOptions;
 use langeq_logic::Network;
 
-use crate::solver::{
-    Algorithm1, CncReason, Monolithic, MonolithicOptions, Partitioned, PartitionedOptions, Solver,
-    SolverKind, SolverLimits,
-};
+use crate::solver::{CncReason, SolveConfig, SolverKind, SolverLimits};
 
 pub use exec::{BoxedSuiteObserver, SuiteEvent, SuiteOptions, SuiteReport};
 
@@ -76,73 +72,39 @@ impl InstanceSpec {
     }
 }
 
-/// One solver configuration of a sweep: a flow plus its options and limits.
+/// One solver configuration of a sweep: a named [`SolveConfig`].
 #[derive(Debug, Clone)]
 pub struct ConfigSpec {
     /// Configuration name — the journal key, unique within a plan.
     pub name: String,
-    /// Which flow to run.
-    pub kind: SolverKind,
-    /// §3.2 DCN trimming (partitioned flow only).
-    pub trim_dcn: bool,
-    /// Dynamic variable reordering armed for each of this configuration's
-    /// cells (partitioned and monolithic flows). Part of the cell
-    /// signature: reorder-on and reorder-off results are never conflated
-    /// by batch resume or the serve cache.
-    pub reorder: ReorderPolicy,
-    /// Image-computation tuning (partitioned flow only).
-    pub image: ImageOptions,
-    /// Per-cell resource limits.
-    pub limits: SolverLimits,
+    /// The configuration every cell of this column solves under. All of it
+    /// enters the cell signature: reorder-on and reorder-off results, say,
+    /// are never conflated by batch resume or the serve cache.
+    pub config: SolveConfig,
 }
 
 impl ConfigSpec {
-    /// A configuration with default options for `kind`.
-    pub fn new(name: impl Into<String>, kind: SolverKind) -> Self {
+    /// A configuration with default options for `flow`.
+    pub fn new(name: impl Into<String>, flow: SolverKind) -> Self {
         ConfigSpec {
             name: name.into(),
-            kind,
-            trim_dcn: true,
-            reorder: ReorderPolicy::None,
-            image: ImageOptions::default(),
-            limits: SolverLimits::default(),
+            config: SolveConfig {
+                flow,
+                ..SolveConfig::default()
+            },
         }
     }
 
     /// Replaces the resource limits.
     pub fn limits(mut self, limits: SolverLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Enables/disables DCN trimming (partitioned flow only).
-    pub fn trim_dcn(mut self, on: bool) -> Self {
-        self.trim_dcn = on;
+        self.config.limits = limits;
         self
     }
 
     /// Sets the dynamic-reordering policy.
     pub fn reorder(mut self, policy: ReorderPolicy) -> Self {
-        self.reorder = policy;
+        self.config.reorder = policy;
         self
-    }
-
-    /// The configured solver, type-erased (constructed per cell, inside the
-    /// worker that runs it).
-    pub fn solver(&self) -> Box<dyn Solver> {
-        match self.kind {
-            SolverKind::Partitioned => Box::new(Partitioned::new(PartitionedOptions {
-                image: self.image,
-                trim_dcn: self.trim_dcn,
-                reorder: self.reorder,
-                limits: self.limits,
-            })),
-            SolverKind::Monolithic => Box::new(Monolithic::new(MonolithicOptions {
-                reorder: self.reorder,
-                limits: self.limits,
-            })),
-            SolverKind::Algorithm1 => Box::new(Algorithm1::new(self.limits)),
-        }
     }
 }
 
@@ -178,7 +140,7 @@ impl Cell<'_> {
     /// swapping the network behind an instance name) between a kill and a
     /// `--resume` re-runs the cell instead of replaying a stale result.
     pub fn signature(&self) -> String {
-        crate::sig::cell_signature(self.instance, self.config)
+        crate::sig::cell_signature(self.instance, &self.config.config)
     }
 }
 
@@ -448,16 +410,5 @@ mod tests {
             .instance(InstanceSpec::new("a", gen::figure3(), vec![0]))
             .config(ConfigSpec::new("p", SolverKind::Partitioned));
         assert!(matches!(plan.validate(), Err(SuiteError::Plan(_))));
-    }
-
-    #[test]
-    fn config_builds_the_right_solver() {
-        for kind in [
-            SolverKind::Partitioned,
-            SolverKind::Monolithic,
-            SolverKind::Algorithm1,
-        ] {
-            assert_eq!(ConfigSpec::new("c", kind).solver().kind(), kind);
-        }
     }
 }

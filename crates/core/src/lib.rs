@@ -31,11 +31,11 @@
 //!
 //! ## Quickstart
 //!
-//! Every flow is driven through the unified engine API: a [`Solver`] trait
-//! (implemented by [`Partitioned`], [`Monolithic`], [`Algorithm1`]),
-//! configured by the [`SolveRequest`] builder and executed against a
-//! [`Control`] carrying a [`CancelToken`], a deadline, and a progress
-//! observer.
+//! Every flow is described by one [`SolveConfig`] (flow, DCN trimming,
+//! reordering, limits — decoded from `key=value` text by
+//! [`SolveConfig::set`]), configured by the [`SolveRequest`] builder and
+//! executed against a [`Control`] carrying a [`CancelToken`], a deadline,
+//! and a progress observer.
 //!
 //! ```
 //! use langeq_core::{LatchSplitProblem, SolveRequest};
@@ -94,8 +94,7 @@ pub use fsm::{FsmLatch, FsmOutput, PartitionedFsm, StateOrder};
 pub use langeq_bdd::ReorderPolicy;
 pub use retry::{Disposition, RetryPolicy};
 pub use solver::{
-    Algorithm1, CancelToken, CncReason, Control, Monolithic, MonolithicOptions, Outcome,
-    Partitioned, PartitionedOptions, Solution, SolveEvent, SolveRequest, Solver, SolverKind,
-    SolverLimits, SolverStats, DEFAULT_MAX_STATES,
+    CancelToken, CncReason, ConfigError, Control, Outcome, Solution, SolveConfig, SolveEvent,
+    SolveRequest, SolverKind, SolverLimits, SolverStats, DEFAULT_MAX_STATES,
 };
 pub use universe::{UniverseSizes, VarUniverse};

@@ -20,12 +20,13 @@
 //! network's canonical BLIF serialization (with the model name blanked), so
 //! two files with identical logic hash identically no matter what they are
 //! called, while a single edited gate changes the signature. The remaining
-//! fields capture the latch split and the full solver configuration — every
-//! parameter that can change the solve's result.
+//! fields capture the latch split and the full [`SolveConfig`] — every
+//! parameter that can change the solve's result (it has no other kind).
 
 use langeq_logic::Network;
 
-use crate::batch::{ConfigSpec, InstanceSpec};
+use crate::batch::InstanceSpec;
+use crate::solver::SolveConfig;
 
 /// 64-bit FNV-1a — tiny, dependency-free, and stable across platforms. Not
 /// cryptographic: signatures guard caches against *accidental* staleness,
@@ -59,7 +60,7 @@ pub fn network_fingerprint(net: &Network) -> String {
 /// This is the key of the batch journal's resume guard
 /// ([`Cell::signature`](crate::batch::Cell::signature) delegates here) and
 /// of the serve layer's result cache.
-pub fn cell_signature(instance: &InstanceSpec, config: &ConfigSpec) -> String {
+pub fn cell_signature(instance: &InstanceSpec, config: &SolveConfig) -> String {
     cell_signature_with(&network_fingerprint(&instance.network), instance, config)
 }
 
@@ -72,7 +73,7 @@ pub fn cell_signature(instance: &InstanceSpec, config: &ConfigSpec) -> String {
 pub fn cell_signature_with(
     fingerprint: &str,
     instance: &InstanceSpec,
-    config: &ConfigSpec,
+    config: &SolveConfig,
 ) -> String {
     let net = &instance.network;
     // `reorder=` uses the Debug form so every policy parameter
@@ -86,7 +87,7 @@ pub fn cell_signature_with(
         net.num_outputs(),
         net.num_latches(),
         instance.unknown_latches,
-        config.kind,
+        config.flow,
         config.trim_dcn,
         config.reorder,
         config.limits.node_limit,
@@ -121,88 +122,62 @@ mod tests {
 
     #[test]
     fn signature_tracks_every_result_defining_parameter() {
-        let base = || {
-            (
-                InstanceSpec::new("i", gen::figure3(), vec![1]),
-                ConfigSpec::new("c", SolverKind::Partitioned),
-            )
-        };
-        let (i0, c0) = base();
+        let i0 = InstanceSpec::new("i", gen::figure3(), vec![1]);
+        let c0 = SolveConfig::default();
         let sig0 = cell_signature(&i0, &c0);
 
-        // Instance / config *names* do not matter…
-        let (mut i1, mut c1) = base();
+        // The instance *name* does not matter…
+        let mut i1 = i0.clone();
         i1.name = "other".into();
-        c1.name = "other".into();
-        assert_eq!(cell_signature(&i1, &c1), sig0);
+        assert_eq!(cell_signature(&i1, &c0), sig0);
 
         // …but the split, flow, trimming, and limits all do.
-        let (mut i2, c2) = base();
+        let mut i2 = i0.clone();
         i2.unknown_latches = vec![0];
-        assert_ne!(cell_signature(&i2, &c2), sig0);
+        assert_ne!(cell_signature(&i2, &c0), sig0);
 
-        let (i3, mut c3) = base();
-        c3.kind = SolverKind::Monolithic;
-        assert_ne!(cell_signature(&i3, &c3), sig0);
+        let c3 = SolveConfig {
+            flow: SolverKind::Monolithic,
+            ..c0
+        };
+        assert_ne!(cell_signature(&i0, &c3), sig0);
 
-        let (i4, c4) = base();
-        let c4 = c4.trim_dcn(false);
-        assert_ne!(cell_signature(&i4, &c4), sig0);
+        let c4 = SolveConfig {
+            trim_dcn: false,
+            ..c0
+        };
+        assert_ne!(cell_signature(&i0, &c4), sig0);
 
-        let (i5, c5) = base();
-        let c5 = c5.limits(SolverLimits {
-            time_limit: Some(Duration::from_secs(60)),
-            ..SolverLimits::default()
-        });
-        assert_ne!(cell_signature(&i5, &c5), sig0);
+        let c5 = SolveConfig {
+            limits: SolverLimits {
+                time_limit: Some(Duration::from_secs(60)),
+                ..SolverLimits::default()
+            },
+            ..c0
+        };
+        assert_ne!(cell_signature(&i0, &c5), sig0);
 
         // Reorder-on and reorder-off must never share a signature (the
         // serve cache and `--resume` would otherwise conflate them), and
         // different sifting thresholds are distinct experiments too.
-        let (i7, c7) = base();
-        let c7 = c7.reorder(langeq_bdd::ReorderPolicy::sifting());
-        let sig7 = cell_signature(&i7, &c7);
+        let c7 = SolveConfig {
+            reorder: langeq_bdd::ReorderPolicy::sifting(),
+            ..c0
+        };
+        let sig7 = cell_signature(&i0, &c7);
         assert_ne!(sig7, sig0);
-        let (i8, c8) = base();
-        let c8 = c8.reorder(langeq_bdd::ReorderPolicy::Sifting {
-            auto_threshold: 1234,
-            max_growth: 1.2,
-        });
-        assert_ne!(cell_signature(&i8, &c8), sig7);
+        let c8 = SolveConfig {
+            reorder: langeq_bdd::ReorderPolicy::Sifting {
+                auto_threshold: 1234,
+                max_growth: 1.2,
+            },
+            ..c0
+        };
+        assert_ne!(cell_signature(&i0, &c8), sig7);
 
         // And the network content, independent of its name.
-        let (mut i6, c6) = base();
+        let mut i6 = i0.clone();
         i6.network = gen::counter("fig3", 4);
-        assert_ne!(cell_signature(&i6, &c6), sig0);
-    }
-
-    /// Purely-performance knobs must NEVER enter the signature: a fleet
-    /// cache or journal keyed on a throughput-only setting would miss on
-    /// every run whose tuning — not whose *experiment* — differs. This is
-    /// the regression guard for that contract: every [`ImageOptions`] field
-    /// produces byte-identical signatures.
-    #[test]
-    fn signature_excludes_performance_knobs() {
-        let base = || {
-            (
-                InstanceSpec::new("i", gen::figure3(), vec![1]),
-                ConfigSpec::new("c", SolverKind::Partitioned),
-            )
-        };
-        let (i0, c0) = base();
-        let sig0 = cell_signature(&i0, &c0);
-
-        // The fused-schedule ablation switch.
-        let (i, mut c) = base();
-        c.image.fusion = false;
-        assert_eq!(cell_signature(&i, &c), sig0);
-
-        // cluster_threshold and the quantification schedule change the
-        // *evaluation order*, never the computed result — the signature
-        // deliberately excludes ImageOptions wholesale.
-        let (i, mut c) = base();
-        c.image.cluster_threshold = 7;
-        c.image.schedule = langeq_image::QuantSchedule::Late;
-        assert_eq!(cell_signature(&i, &c), sig0);
+        assert_ne!(cell_signature(&i6, &c0), sig0);
     }
 }

@@ -2,7 +2,7 @@
 //! progress observation.
 //!
 //! A [`Control`] is the caller-facing handle passed to
-//! [`Solver::solve`](crate::solver::Solver::solve). It carries
+//! [`SolveConfig::solve`](crate::SolveConfig::solve). It carries
 //!
 //! * a [`CancelToken`] — clonable, `Send + Sync`, settable from another
 //!   thread (or a Ctrl-C handler); the solver and the BDD engine poll it
@@ -116,7 +116,7 @@ pub enum SolveEvent {
 /// builder and the control).
 pub type BoxedObserver = Box<dyn FnMut(&SolveEvent)>;
 
-/// The run-control handle a [`Solver`](crate::solver::Solver) executes
+/// The run-control handle a [`SolveConfig`](crate::SolveConfig) solves
 /// against: cancellation token, deadline, progress observer.
 ///
 /// `Control::default()` is a no-op control: never cancelled, no deadline, no

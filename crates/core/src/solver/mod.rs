@@ -1,4 +1,5 @@
-//! The language-equation solvers: the unified [`Solver`] engine API
+//! The language-equation solvers: the one configuration type
+//! [`SolveConfig`] and its `key=value` codec, the run-control API
 //! ([`SolveRequest`], [`Control`], [`CancelToken`], [`SolveEvent`]), shared
 //! types and resource limits, and the flows compared in the paper's Table 1.
 //!
@@ -6,14 +7,16 @@
 //!
 //! * [`SolveRequest`] — builder: pick a flow, tune it, attach
 //!   cancellation/progress, run;
-//! * [`Solver`] — the trait implemented by [`Partitioned`], [`Monolithic`],
-//!   and [`Algorithm1`]; drive it generically for harnesses that compare
-//!   flows (the [`batch`](crate::batch) sweep engine is one such harness).
+//! * [`SolveConfig::solve`] — the one dispatch from a configuration to the
+//!   partitioned, monolithic or Algorithm-1 flow; harnesses that compare
+//!   flows hold one [`SolveConfig`] per flow (the [`batch`](crate::batch)
+//!   sweep engine is one such harness).
 //!
 //! Exhausting any limit — node budget, wall clock, state budget — or a
 //! cancellation yields [`Outcome::Cnc`] **cooperatively**: nothing panics or
 //! unwinds, and the equation's manager is immediately reusable.
 
+mod config;
 pub mod control;
 mod engine;
 pub mod monolithic;
@@ -24,11 +27,9 @@ use std::time::Duration;
 
 use langeq_automata::Automaton;
 
+pub use config::{ConfigError, SolveConfig};
 pub use control::{CancelToken, Control, SolveEvent};
-pub use engine::{Algorithm1, Monolithic, Partitioned, SolveRequest, Solver};
-
-use langeq_bdd::ReorderPolicy;
-use langeq_image::ImageOptions;
+pub use engine::SolveRequest;
 
 /// Which solver produced a result (for reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,50 +124,6 @@ impl SolverLimits {
     }
 }
 
-/// Options for the partitioned solver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PartitionedOptions {
-    /// Image-computation tuning (clustering, quantification scheduling).
-    pub image: ImageOptions,
-    /// Apply the prefix-closed trimming of §3.2: transitions that can reach
-    /// the non-conformance state are redirected to a single trap (`DCN`)
-    /// instead of exploring subsets containing it. Disabling this models
-    /// the untrimmed subset construction (ablation).
-    pub trim_dcn: bool,
-    /// Dynamic variable reordering, armed on the equation's manager for the
-    /// duration of the run (the previous policy is restored afterwards).
-    /// The universe's reorder fence keeps the alphabet block above the
-    /// state block, so sifting can never break the subset construction's
-    /// cofactor-class precondition.
-    pub reorder: ReorderPolicy,
-    /// Resource limits.
-    pub limits: SolverLimits,
-}
-
-impl PartitionedOptions {
-    /// The paper's configuration: early quantification + DCN trimming
-    /// (static order, as in the paper).
-    pub fn paper() -> Self {
-        PartitionedOptions {
-            image: ImageOptions::default(),
-            trim_dcn: true,
-            reorder: ReorderPolicy::None,
-            limits: SolverLimits::default(),
-        }
-    }
-}
-
-/// Options for the monolithic baseline solver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MonolithicOptions {
-    /// Dynamic variable reordering (see
-    /// [`PartitionedOptions::reorder`]) — the monolithic `TO` relation is
-    /// the workload that benefits most from sifting.
-    pub reorder: ReorderPolicy,
-    /// Resource limits.
-    pub limits: SolverLimits,
-}
-
 /// Counters and timings of one solver run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverStats {
@@ -201,8 +158,8 @@ pub struct Solution {
     /// automaton over `(u, v)` including the `DCN` (non-accepting) and
     /// `DCA` (accepting) trap states.
     ///
-    /// With the paper's DCN trimming enabled (monolithic flow, or
-    /// [`PartitionedOptions::trim_dcn`] = false) this is the *most general*
+    /// With the paper's DCN trimming disabled (monolithic flow, or
+    /// [`SolveConfig::trim_dcn`] = false) this is the *most general*
     /// solution of the equation. With trimming on, words whose prefixes are
     /// already unacceptable are dropped eagerly, so `general` is a
     /// sub-language of the most general solution whose **prefix closure is

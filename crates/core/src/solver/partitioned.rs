@@ -30,7 +30,7 @@
 //!
 //! ## The untrimmed ablation
 //!
-//! With [`PartitionedOptions::trim_dcn`] disabled, the solver instead runs
+//! With [`SolveConfig::trim_dcn`](crate::SolveConfig::trim_dcn) disabled, the solver instead runs
 //! the *traditional* subset construction (same language as the monolithic
 //! flow) while still using partitioned images: the specification partition
 //! is extended with the completion bit `csd`, exactly as the monolithic
@@ -42,30 +42,17 @@ use std::collections::{HashMap, VecDeque};
 
 use langeq_automata::{Automaton, StateId};
 use langeq_bdd::Bdd;
-use langeq_image::ImageComputer;
+use langeq_image::{ImageComputer, ImageOptions};
 
 use crate::equation::LanguageEquation;
 use crate::solver::session::Session;
-use crate::solver::{
-    CncReason, Control, Outcome, Partitioned, PartitionedOptions, Solution, Solver,
-};
-
-/// Solves the equation with the partitioned flow.
-///
-/// Returns [`Outcome::Cnc`] when a limit in `opts.limits` is exhausted.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Partitioned::new(opts).solve(eq, &Control::default())` or `SolveRequest::partitioned()`"
-)]
-pub fn solve(eq: &LanguageEquation, opts: &PartitionedOptions) -> Outcome {
-    Partitioned::new(*opts).solve(eq, &Control::default())
-}
+use crate::solver::{CncReason, Solution};
 
 /// The paper's flow: prefix-closed trimming via `Qξ` and the `DCN` trap.
 #[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
 pub(crate) fn run_trimmed(
     eq: &LanguageEquation,
-    opts: &PartitionedOptions,
+    image: ImageOptions,
     sess: &mut Session<'_>,
 ) -> Result<Solution, CncReason> {
     let mgr = eq.manager().clone();
@@ -82,7 +69,7 @@ pub(crate) fn run_trimmed(
     let u_parts = eq.u_parts();
     let mut pt_parts = u_parts.clone();
     pt_parts.extend(eq.product_transition_parts());
-    let p_image = ImageComputer::with_protected(&mgr, &pt_parts, &quantify, &protect, opts.image);
+    let p_image = ImageComputer::with_protected(&mgr, &pt_parts, &quantify, &protect, image);
     // One image per output: Qξ is accumulated "one output at a time".
     let q_images: Vec<ImageComputer> = eq
         .conformance_parts()
@@ -90,7 +77,7 @@ pub(crate) fn run_trimmed(
         .map(|c| {
             let mut parts = u_parts.clone();
             parts.push(c.not());
-            ImageComputer::with_protected(&mgr, &parts, &quantify, &protect, opts.image)
+            ImageComputer::with_protected(&mgr, &parts, &quantify, &protect, image)
         })
         .collect();
     compile_span.field("partitions", pt_parts.len());
@@ -175,7 +162,7 @@ pub(crate) fn run_trimmed(
 #[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
 pub(crate) fn run_untrimmed(
     eq: &LanguageEquation,
-    opts: &PartitionedOptions,
+    image: ImageOptions,
     sess: &mut Session<'_>,
 ) -> Result<Solution, CncReason> {
     let mgr = eq.manager().clone();
@@ -202,7 +189,7 @@ pub(crate) fn run_untrimmed(
     // ξ mentions the product state vars and the DC bit: protect both.
     let mut protect = vars.product_state_vars();
     protect.push(vars.csd);
-    let p_image = ImageComputer::with_protected(&mgr, &parts, &quantify, &protect, opts.image);
+    let p_image = ImageComputer::with_protected(&mgr, &parts, &quantify, &protect, image);
     let ns_to_cs = vars.ns_to_cs_with_dc();
     compile_span.field("partitions", parts.len());
     drop(compile_span);
@@ -264,7 +251,7 @@ pub(crate) fn run_untrimmed(
 mod tests {
     use super::*;
     use crate::equation::LatchSplitProblem;
-    use crate::solver::SolveRequest;
+    use crate::solver::{Outcome, SolveRequest};
     use langeq_logic::gen;
 
     fn solve_figure3_problem(p: &LatchSplitProblem, trim: bool) -> Solution {

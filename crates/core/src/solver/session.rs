@@ -1,6 +1,6 @@
-//! Per-run plumbing shared by every [`Solver`](crate::solver::Solver)
-//! implementation: arming the BDD engine's cooperative-abort guards,
-//! enforcing the [`SolverLimits`](crate::SolverLimits) and the
+//! Per-run plumbing shared by every flow: arming the BDD engine's
+//! cooperative-abort guards, enforcing the
+//! [`SolverLimits`](crate::SolverLimits) and the
 //! [`Control`](crate::Control)'s token/deadline, and emitting
 //! [`SolveEvent`](crate::SolveEvent)s.
 //!

@@ -72,7 +72,16 @@
 //!
 //! `network` is inline `.bench`/`.blif` text (`format` optional — sniffed);
 //! `"source": "gen:figure3"` submits a built-in generator instead. `split`
-//! may be omitted only for generators with a canonical default. Unknown
+//! may be omitted only for generators with a canonical default.
+//!
+//! The config fields are the keys of [`langeq_core::SolveConfig::KEYS`]
+//! with `_` for `-` (`flow`, `trim`, `reorder`, `timeout`, `node_limit`,
+//! `max_states`). Each may be a JSON string, integer or bool; its text goes
+//! through [`langeq_core::SolveConfig::set`], the codec that also decodes
+//! manifest `config` lines and CLI flags, so `"trim": "off"`,
+//! `"trim": false` and `trim=off` are one configuration and one cache
+//! entry. A config field of any other JSON type, or a value the codec
+//! rejects (`"node_limit": -5`, `"flow": 3`), answers **400**. Unknown
 //! fields are ignored, so a body from an older client that still carries
 //! the removed image worker-count or restrict tuning keys gets the same
 //! answer (and the same cache entry) as one without them.

@@ -51,7 +51,7 @@ use langeq_core::retry::{Disposition, RetryPolicy};
 use langeq_core::sig::{cell_signature, fnv1a64};
 use langeq_core::{
     CancelToken, CellReport, ConfigSpec, InstanceSpec, JournalStore, KernelSample, LocalFileStore,
-    SharedDirStore, SolverKind, SolverLimits, SuiteEvent, SuiteOptions, SuitePlan,
+    SharedDirStore, SolveConfig, SuiteEvent, SuiteOptions, SuitePlan,
 };
 use langeq_obs::{fmt_header, fmt_id, Counter, Gauge, Histogram, HistogramVec, Registry, SlowLog};
 use langeq_report::Json;
@@ -1347,7 +1347,7 @@ fn submit_solve(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -
             return Response::error(400, &message);
         }
     };
-    let sig = cell_signature(&instance, &config);
+    let sig = cell_signature(&instance, &config.config);
     // Correlation: adopt the caller's trace (a forwarding peer, or any
     // client that sends the header) or mint a fresh id. The guard scopes
     // the context to this request thread; the ingress span is the local
@@ -1780,7 +1780,7 @@ fn submit_sweep(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -
     let work: Vec<Box<CellWork>> = plan
         .cells()
         .map(|c| {
-            let sig = cell_signature(c.instance, c.config);
+            let sig = cell_signature(c.instance, &c.config.config);
             Box::new(CellWork {
                 instance: c.instance.clone(),
                 config: c.config.clone(),
@@ -1958,28 +1958,29 @@ fn parse_solve_request(body: &str) -> Result<(InstanceSpec, ConfigSpec), String>
     }
     let instance = InstanceSpec::new(name, network, unknown_latches);
 
-    let kind: SolverKind = match json.get("flow").and_then(Json::as_str) {
-        Some(flow) => flow.parse().map_err(|e| format!("{e}"))?,
-        None => SolverKind::Partitioned,
-    };
-    let mut config = ConfigSpec::new(kind.to_string(), kind);
-    if let Some(trim) = json.get("trim").and_then(Json::as_bool) {
-        config = config.trim_dcn(trim);
+    // Each config key is read under its underscore spelling and decoded
+    // by the one codec; a field of the wrong JSON type is an error, never
+    // a silent default.
+    let mut config = SolveConfig::default();
+    for key in SolveConfig::KEYS {
+        let field = key.replace('-', "_");
+        let text = match json.get(&field) {
+            None => continue,
+            Some(Json::Str(text)) => text.clone(),
+            Some(Json::Int(n)) => n.to_string(),
+            Some(Json::Bool(b)) => b.to_string(),
+            Some(other) => {
+                return Err(format!(
+                    "`{field}` must be a string, integer or bool (got {other})"
+                ))
+            }
+        };
+        config
+            .set(key, &text)
+            .map_err(|e| format!("`{field}`: {e}"))?;
     }
-    if let Some(policy) = json.get("reorder").and_then(Json::as_str) {
-        config = config.reorder(policy.parse().map_err(|e| format!("reorder: {e}"))?);
-    }
-    let mut limits = SolverLimits::default();
-    if let Some(secs) = json.get("timeout").and_then(Json::as_u64) {
-        limits.time_limit = Some(Duration::from_secs(secs));
-    }
-    if let Some(n) = json.get("node_limit").and_then(Json::as_u64) {
-        limits.node_limit = Some(n as usize);
-    }
-    if let Some(n) = json.get("max_states").and_then(Json::as_u64) {
-        limits.max_states = Some(n as usize);
-    }
-    Ok((instance, config.limits(limits)))
+    let name = config.flow.to_string();
+    Ok((instance, ConfigSpec { name, config }))
 }
 
 /// The worker loop: pop a *(job, cell)* entry, run it, publish the report
@@ -2190,7 +2191,7 @@ fn run_cell_cached(
 ) -> (CellReport, Option<Arc<Vec<u8>>>) {
     // The solve span wraps every tier — cache probe, peer lookup, engine —
     // and is the parent the suite's per-cell phase spans attach under.
-    let mut solve_span = langeq_obs::span!("solve", flow = config.kind);
+    let mut solve_span = langeq_obs::span!("solve", flow = config.config.flow);
     solve_span.field("instance", &instance.name);
     let solve_t0 = Instant::now();
     let relabel = |mut report: CellReport| {
@@ -2301,7 +2302,7 @@ fn run_cell_cached(
                 cell: cell_id,
                 instance: instance.name.clone(),
                 config: config.name.clone(),
-                kind: config.kind,
+                kind: config.config.flow,
                 sig: sig.clone(),
                 outcome: CellOutcome::Failed(message),
                 kernel: None,
@@ -2333,7 +2334,7 @@ fn run_cell_cached(
     shared
         .metrics
         .solve_duration
-        .with(&config.kind.to_string())
+        .with(&config.config.flow.to_string())
         .observe(solve_t0.elapsed());
     observe_phases(shared, &solve_span, &report, instance, config, job_id);
 
@@ -2360,4 +2361,67 @@ fn run_cell_cached(
         }
     }
     (report, snapshot)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    /// One configuration stated three ways — a manifest `config` line,
+    /// CLI-style `SolveConfig::set` calls and a serve body — must key one
+    /// cache entry, byte-equal to the signature earlier releases journaled
+    /// for it, so existing journals, stores and cache files stay valid.
+    #[test]
+    fn front_ends_agree_on_golden_signatures() {
+        const ALL: &str = "flow=monolithic;trim=false;\
+            reorder=Sifting { auto_threshold: 5000, max_growth: 1.2 };\
+            nl=Some(1000000);tl=Some(60s);ms=Some(500000)";
+        // (manifest `config` words, CLI flags, serve-body fields, signature tail)
+        #[rustfmt::skip]
+        let table = [
+            ("", "", "",
+             "flow=partitioned;trim=true;reorder=None;nl=None;tl=None;ms=Some(2000000)"),
+            ("flow=monolithic", "--flow mono", r#","flow":"monolithic""#,
+             "flow=monolithic;trim=true;reorder=None;nl=None;tl=None;ms=Some(2000000)"),
+            ("trim=off", "--trim off", r#","trim":false"#,
+             "flow=partitioned;trim=false;reorder=None;nl=None;tl=None;ms=Some(2000000)"),
+            ("reorder=sifting:5000", "--reorder sifting:5000", r#","reorder":"sifting:5000""#,
+             "flow=partitioned;trim=true;reorder=Sifting { auto_threshold: 5000, max_growth: 1.2 };\
+              nl=None;tl=None;ms=Some(2000000)"),
+            ("timeout=60", "--timeout 60", r#","timeout":60"#,
+             "flow=partitioned;trim=true;reorder=None;nl=None;tl=Some(60s);ms=Some(2000000)"),
+            ("node-limit=1000000", "--node-limit 1000000", r#","node_limit":1000000"#,
+             "flow=partitioned;trim=true;reorder=None;nl=Some(1000000);tl=None;ms=Some(2000000)"),
+            ("max-states=500000", "--max-states 500000", r#","max_states":500000"#,
+             "flow=partitioned;trim=true;reorder=None;nl=None;tl=None;ms=Some(500000)"),
+            ("flow=monolithic trim=off reorder=sifting:5000 timeout=60 node-limit=1000000 \
+              max-states=500000",
+             "--flow monolithic --trim 0 --reorder sifting:5000 --timeout 60 \
+              --node-limit 1000000 --max-states 500000",
+             r#","flow":"mono","trim":"off","reorder":"sifting:5000","timeout":"60","node_limit":1000000,"max_states":500000"#,
+             ALL),
+        ];
+        let (network, split) = resolve_source("gen:counter4", Path::new(".")).unwrap();
+        let instance = InstanceSpec::new("c4", network, split.unwrap());
+        for (line, flags, fields, tail) in table {
+            let want = format!("net=ced7e0538685097a/1/1/4;split=[2, 3];{tail}");
+
+            let manifest = format!("instance c4 gen:counter4\nconfig c {line}\n");
+            let plan = parse_manifest(&manifest, Path::new(".")).unwrap();
+            let sig = cell_signature(&plan.instances()[0], &plan.configs()[0].config);
+            assert_eq!(sig, want, "manifest `{line}`");
+
+            let mut config = SolveConfig::default();
+            let words: Vec<&str> = flags.split_whitespace().collect();
+            for pair in words.chunks(2) {
+                config.set(&pair[0][2..], pair[1]).unwrap();
+            }
+            assert_eq!(cell_signature(&instance, &config), want, "flags `{flags}`");
+
+            let body = format!(r#"{{"source":"gen:counter4"{fields}}}"#);
+            let (served, spec) = parse_solve_request(&body).unwrap();
+            assert_eq!(cell_signature(&served, &spec.config), want, "body {body}");
+        }
+    }
 }

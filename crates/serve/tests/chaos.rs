@@ -62,7 +62,7 @@ fn chaos_sig(timeout: u64) -> String {
         ..Default::default()
     };
     let config = ConfigSpec::new(kind.to_string(), kind).limits(limits);
-    cell_signature(&instance, &config)
+    cell_signature(&instance, &config.config)
 }
 
 /// Cells of a result with the run-dependent fields (slot index, cache

@@ -181,7 +181,7 @@ fn one_trace_spans_a_ring_forwarded_solve() {
         );
         let kind = SolverKind::Partitioned;
         let config = ConfigSpec::new(kind.to_string(), kind);
-        cell_signature(&instance, &config)
+        cell_signature(&instance, &config.config)
     };
     let ring = Ring::new(&peers, "");
     let owner_addr = ring.owner(&sig).expect("two members own everything");

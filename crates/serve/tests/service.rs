@@ -184,6 +184,20 @@ fn malformed_and_oversized_requests_are_rejected() {
         ("{\"source\":\"/etc/passwd\"}", "gen:NAME"),
         ("{\"network\":\"INPUT(i)\\n\"}", "split"),
         ("not json", "request body"),
+        // Mistyped config fields are errors, never silent defaults.
+        (
+            "{\"source\":\"gen:counter4\",\"node_limit\":-5}",
+            "bad number",
+        ),
+        ("{\"source\":\"gen:counter4\",\"flow\":3}", "unknown flow"),
+        (
+            "{\"source\":\"gen:counter4\",\"timeout\":[60]}",
+            "`timeout` must be",
+        ),
+        (
+            "{\"source\":\"gen:counter4\",\"trim\":\"sideways\"}",
+            "bad trim value",
+        ),
     ] {
         let (status, answer) = langeq_serve::http::call(
             &addr,
@@ -211,7 +225,7 @@ fn malformed_and_oversized_requests_are_rejected() {
     assert_eq!(status, 400, "{answer}");
     assert!(answer.contains("gen:NAME sources"), "{answer}");
 
-    assert!(client.metric("langeq_bad_requests_total").unwrap() >= 8);
+    assert!(client.metric("langeq_bad_requests_total").unwrap() >= 12);
     assert_eq!(client.metric("langeq_jobs_accepted_total").unwrap(), 0);
     server.shutdown();
 }
@@ -328,6 +342,23 @@ fn reorder_policy_is_part_of_the_cache_key() {
     let legacy = client.submit_solve(&legacy_req).expect("legacy accepted");
     assert!(legacy.cached, "removed tuning keys changed the cache key");
 
+    let cell = |result: &Json| {
+        let cells = result.get("cells").and_then(Json::as_arr).unwrap();
+        CellReport::from_json(&cells[0]).expect("cell parses")
+    };
+
+    // A string-typed `trim` decodes like a manifest value: "off" is its
+    // own experiment, not the plain request's cache entry.
+    let untrimmed = client
+        .submit_solve(&gen_request("gen:counter4").set("trim", "off"))
+        .expect("untrimmed accepted");
+    assert!(!untrimmed.cached, "trim=off conflated with the default");
+    let untrimmed = client
+        .wait(untrimmed.job, POLL, WAIT)
+        .expect("untrimmed finishes");
+    let sig = cell(&untrimmed).sig;
+    assert!(sig.contains("trim=false"), "{sig}");
+
     let sifted_req = gen_request("gen:counter4").set("reorder", "sifting:64");
     let sifted = client.submit_solve(&sifted_req).expect("sifted accepted");
     assert!(!sifted.cached, "reorder-on conflated with reorder-off");
@@ -336,10 +367,6 @@ fn reorder_policy_is_part_of_the_cache_key() {
         .expect("sifted finishes");
 
     // Both solve, and solve to the same CSF.
-    let cell = |result: &Json| {
-        let cells = result.get("cells").and_then(Json::as_arr).unwrap();
-        CellReport::from_json(&cells[0]).expect("cell parses")
-    };
     let (p, s) = (cell(&plain), cell(&sifted));
     assert!(p.solved() && s.solved());
     assert_eq!(p.stats().unwrap().csf_states, s.stats().unwrap().csf_states);

@@ -360,46 +360,63 @@ pub fn endpoints_docs(ws: &Workspace) -> Vec<Violation> {
     out
 }
 
+/// The source file of `SolveConfig`, whose `KEYS` array names the config
+/// flags every solving CLI command accepts as `--KEY value`.
+const CONFIG_KEYS_FILE: &str = "crates/core/src/solver/config.rs";
+
 /// Extracts the CLI's known-flag sets: string literals inside the bracket
 /// group following `reject_unknown(&[`, a `&[&str]] = &[` constant
 /// initializer, or `.extend([`.
 fn cli_flags(f: &SourceFile, seen: &mut Vec<Seen>) {
-    let code = &f.views.code;
     for anchor in ["reject_unknown", "&[&str]", ".extend("] {
-        let mut from = 0usize;
-        while let Some(k) = code[from..].find(anchor) {
-            let at = from + k;
-            from = at + anchor.len();
-            // The list bracket is searched *after* the anchor — the
-            // `&[&str]` anchor contains brackets of its own.
-            let Some(open_rel) = code[from..].find('[') else {
+        bracket_literals(f, anchor, false, seen);
+    }
+}
+
+/// Records the string literals of the first bracket group after each
+/// `anchor` — after the next `=` too when `past_eq` is set, so a
+/// `[&str; N]` type annotation is skipped.
+fn bracket_literals(f: &SourceFile, anchor: &str, past_eq: bool, seen: &mut Vec<Seen>) {
+    let code = &f.views.code;
+    let mut from = 0usize;
+    while let Some(k) = code[from..].find(anchor) {
+        let at = from + k;
+        from = at + anchor.len();
+        if past_eq {
+            let Some(eq) = code[from..].find('=') else {
                 continue;
             };
-            let open = from + open_rel;
-            // Bracket-match in the code view.
-            let bytes = code.as_bytes();
-            let mut depth = 0i32;
-            let mut close = None;
-            for (t, &b) in bytes.iter().enumerate().skip(open) {
-                if b == b'[' {
-                    depth += 1;
-                } else if b == b']' {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(t);
-                        break;
-                    }
+            from += eq + 1;
+        }
+        // The list bracket is searched *after* the anchor — the
+        // `&[&str]` anchor contains brackets of its own.
+        let Some(open_rel) = code[from..].find('[') else {
+            continue;
+        };
+        let open = from + open_rel;
+        // Bracket-match in the code view.
+        let bytes = code.as_bytes();
+        let mut depth = 0i32;
+        let mut close = None;
+        for (t, &b) in bytes.iter().enumerate().skip(open) {
+            if b == b'[' {
+                depth += 1;
+            } else if b == b']' {
+                depth -= 1;
+                if depth == 0 {
+                    close = Some(t);
+                    break;
                 }
             }
-            let Some(close) = close else { continue };
-            // Flag names carry no whitespace, so literal contents in the
-            // strings view split cleanly on blanks.
-            for (off, token) in split_tokens(&f.views.strings[open..close]) {
-                if f.in_test(open + off) {
-                    continue;
-                }
-                record(seen, token, &f.rel, line_of(&f.text, open + off));
+        }
+        let Some(close) = close else { continue };
+        // Flag names carry no whitespace, so literal contents in the
+        // strings view split cleanly on blanks.
+        for (off, token) in split_tokens(&f.views.strings[open..close]) {
+            if f.in_test(open + off) {
+                continue;
             }
+            record(seen, token, &f.rel, line_of(&f.text, open + off));
         }
     }
 }
@@ -431,6 +448,8 @@ pub fn flags_docs(ws: &Workspace) -> Vec<Violation> {
     for f in &ws.files {
         if f.rel.starts_with("crates/cli/src/") && !f.test_tier {
             cli_flags(f, &mut code);
+        } else if f.rel == CONFIG_KEYS_FILE {
+            bracket_literals(f, "const KEYS:", true, &mut code);
         }
     }
     // Documentation corpus: README, DESIGN, and every usage string the CLI

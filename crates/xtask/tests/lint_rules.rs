@@ -326,6 +326,23 @@ fn const_flag_lists_are_extracted() {
 }
 
 #[test]
+fn undocumented_config_keys_are_caught() {
+    // The solving commands take `SolveConfig::KEYS` as `--KEY value`
+    // flags; the rule reads that array from its source file, past the
+    // `[&str; N]` type annotation.
+    let fx = Fixture::new()
+        .file(
+            "crates/core/src/solver/config.rs",
+            "impl SolveConfig {\n    pub const KEYS: [&'static str; 2] = [\"flow\", \"warp\"];\n}\n",
+        )
+        .file("README.md", "Pass `--flow part` to pick a flow.\n");
+    let out = fx.lint();
+    assert_eq!(rules(&out), ["flags-docs"], "{out:?}");
+    assert!(out[0].msg.contains("--warp"), "{out:?}");
+    assert_eq!(out[0].line, 2, "{out:?}");
+}
+
+#[test]
 fn flags_documented_in_readme_or_design_are_clean() {
     let fx = Fixture::new()
         .file(

@@ -47,36 +47,30 @@ fn main() {
         max_states: None,
     };
 
-    // Both flows behind the same `Solver` trait, driven generically, on one
-    // shared problem (one manager), so the computed CSFs can be compared
-    // directly. (For timing-faithful standalone runs the bench harness uses
-    // a fresh manager per run instead; this example favours the
-    // cross-check.)
-    let solvers: Vec<Box<dyn Solver>> = vec![
-        Box::new(Partitioned::new(PartitionedOptions {
-            limits,
-            ..PartitionedOptions::paper()
-        })),
-        Box::new(Monolithic::new(MonolithicOptions {
-            limits,
-            ..MonolithicOptions::default()
-        })),
-    ];
+    // Both flows as plain configurations, solved on one shared problem
+    // (one manager), so the computed CSFs can be compared directly. (For
+    // timing-faithful standalone runs the bench harness uses a fresh
+    // manager per run instead; this example favours the cross-check.)
+    let configs = [SolverKind::Partitioned, SolverKind::Monolithic].map(|flow| SolveConfig {
+        flow,
+        limits,
+        ..SolveConfig::default()
+    });
     let problem = LatchSplitProblem::new(&inst.network, &inst.unknown_latches).unwrap();
     let mut outcomes = Vec::new();
-    for solver in &solvers {
+    for config in &configs {
         let t0 = std::time::Instant::now();
-        let outcome = solver.solve(&problem.equation, &Control::default());
+        let outcome = config.solve(&problem.equation, &Control::default());
         let elapsed = t0.elapsed();
+        let label = format!("{}:", config.flow);
         match &outcome {
             Outcome::Solved(sol) => println!(
-                "{:<12} {:.2}s, {} subset states, CSF has {} states",
-                format!("{}:", solver.kind()),
+                "{label:<12} {:.2}s, {} subset states, CSF has {} states",
                 elapsed.as_secs_f64(),
                 sol.stats.subset_states,
                 sol.csf.num_states()
             ),
-            Outcome::Cnc(r) => println!("{:<12} {r}", format!("{}:", solver.kind())),
+            Outcome::Cnc(r) => println!("{label:<12} {r}"),
         }
         outcomes.push(outcome);
     }

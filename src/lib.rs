@@ -44,11 +44,10 @@ pub mod prelude {
     pub use langeq_bdd::{Bdd, BddManager, VarId};
     pub use langeq_core::extract::SelectionStrategy;
     pub use langeq_core::{
-        Algorithm1, CancelToken, CellOutcome, CellReport, CellStats, CncReason, ConfigSpec,
-        Control, InstanceSpec, KernelSample, LanguageEquation, LatchSplitProblem, Monolithic,
-        MonolithicOptions, Outcome, Partitioned, PartitionedFsm, PartitionedOptions, Solution,
-        SolveEvent, SolveRequest, Solver, SolverKind, SolverLimits, StateOrder, SuiteError,
-        SuiteEvent, SuiteOptions, SuitePlan, SuiteReport, VarUniverse,
+        CancelToken, CellOutcome, CellReport, CellStats, CncReason, ConfigError, ConfigSpec,
+        Control, InstanceSpec, KernelSample, LanguageEquation, LatchSplitProblem, Outcome,
+        PartitionedFsm, Solution, SolveConfig, SolveEvent, SolveRequest, SolverKind, SolverLimits,
+        StateOrder, SuiteError, SuiteEvent, SuiteOptions, SuitePlan, SuiteReport, VarUniverse,
     };
     pub use langeq_image::{ImageComputer, QuantSchedule};
     pub use langeq_logic::kiss::MealyFsm;

@@ -57,16 +57,16 @@ fn table1_smallest_instance_solves_and_verifies() {
     let instances = gen::table1();
     let inst = instances.iter().find(|i| i.name == "sim_s510").unwrap();
     let p = LatchSplitProblem::new(&inst.network, &inst.unknown_latches).unwrap();
-    let opts = PartitionedOptions {
+    let config = SolveConfig {
         limits: SolverLimits {
             node_limit: Some(4_000_000),
             time_limit: Some(Duration::from_secs(120)),
             max_states: Some(500_000),
         },
-        ..PartitionedOptions::paper()
+        ..SolveConfig::default()
     };
-    let sol = Partitioned::new(opts)
-        .solve_unmonitored(&p.equation)
+    let sol = config
+        .solve(&p.equation, &Control::default())
         .into_result()
         .expect("sim_s510 solves within the limits");
     assert!(sol.csf.initial().is_some(), "flexibility must be nonempty");
@@ -102,14 +102,14 @@ fn timeout_limit_reports_cnc() {
     let instances = gen::table1();
     let inst = instances.iter().find(|i| i.name == "sim_s298").unwrap();
     let p = LatchSplitProblem::new(&inst.network, &inst.unknown_latches).unwrap();
-    let opts = PartitionedOptions {
+    let config = SolveConfig {
         limits: SolverLimits {
             time_limit: Some(Duration::ZERO),
             ..Default::default()
         },
-        ..PartitionedOptions::paper()
+        ..SolveConfig::default()
     };
-    match Partitioned::new(opts).solve_unmonitored(&p.equation) {
+    match config.solve(&p.equation, &Control::default()) {
         Outcome::Cnc(langeq::core::CncReason::Timeout(_)) => {}
         other => panic!("expected timeout CNC, got {other:?}"),
     }

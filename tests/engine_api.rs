@@ -1,4 +1,5 @@
-//! Integration tests for the unified `Solver` engine API: builder
+//! Integration tests for the engine API (`SolveConfig`, `SolveRequest`):
+//! builder
 //! configuration, cooperative cancellation, deadline handling, progress
 //! observation, and `Outcome` conversions — including the contract that a
 //! cancelled solve leaves the `BddManager` immediately reusable.
@@ -204,9 +205,8 @@ fn node_limit_aborts_cooperatively_without_unwinding() {
 #[test]
 fn control_deadline_reports_timeout() {
     let p = midsize_problem();
-    let (solver, _) = SolveRequest::partitioned().build();
     let ctrl = Control::new().with_timeout(Duration::ZERO);
-    let outcome = solver.solve(&p.equation, &ctrl);
+    let outcome = SolveConfig::default().solve(&p.equation, &ctrl);
     assert!(matches!(outcome, Outcome::Cnc(CncReason::Timeout(_))));
 }
 
@@ -229,17 +229,17 @@ fn solver_kind_round_trips_through_its_names() {
 
 #[test]
 fn flows_agree_when_driven_as_suite_configs() {
-    // The batch layer's ConfigSpec is the new way to hold "a flow plus its
-    // options"; the solvers it builds agree with each other.
+    // A batch-layer ConfigSpec holds "a flow plus its options" as a
+    // SolveConfig; the flows its configs run agree with each other.
     let p = midsize_problem();
-    let part = langeq::core::ConfigSpec::new("p", SolverKind::Partitioned)
-        .solver()
-        .solve_unmonitored(&p.equation)
+    let part = ConfigSpec::new("p", SolverKind::Partitioned)
+        .config
+        .solve(&p.equation, &Control::default())
         .into_result()
         .expect("partitioned solves");
-    let mono = langeq::core::ConfigSpec::new("m", SolverKind::Monolithic)
-        .solver()
-        .solve_unmonitored(&p.equation)
+    let mono = ConfigSpec::new("m", SolverKind::Monolithic)
+        .config
+        .solve(&p.equation, &Control::default())
         .into_result()
         .expect("monolithic solves");
     assert!(part.csf.equivalent(&mono.csf));
