@@ -645,7 +645,8 @@ pub(crate) fn execute(plan: &SuitePlan, mut opts: SuiteOptions) -> Result<SuiteR
         lock_queue(&queues[i % jobs]).push_back(*id);
     }
 
-    let deadline = opts.budget.map(|b| t0 + b);
+    // A budget too large to represent as an instant is no deadline.
+    let deadline = opts.budget.and_then(|b| t0.checked_add(b));
     let (tx, rx) = mpsc::channel::<WorkerMsg>();
     std::thread::scope(|scope| -> Result<(), SuiteError> {
         for w in 0..jobs {
@@ -857,6 +858,18 @@ mod tests {
         // …and budget exhaustion marks the suite incomplete.
         assert!(report.cancelled);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unrepresentable_budget_is_no_deadline() {
+        let plan = SuitePlan::new()
+            .instance(InstanceSpec::new("fig3", gen::figure3(), vec![1]))
+            .config(ConfigSpec::new("part", SolverKind::Partitioned));
+        let report = plan
+            .execute(SuiteOptions::new().budget(Duration::MAX))
+            .unwrap();
+        assert_eq!(report.solved(), 1);
+        assert!(!report.cancelled);
     }
 
     #[test]

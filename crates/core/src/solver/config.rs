@@ -30,7 +30,7 @@ use crate::equation::LanguageEquation;
 use crate::solver::control::Control;
 use crate::solver::session::Session;
 use crate::solver::{
-    monolithic, partitioned, CncReason, Outcome, Solution, SolverKind, SolverLimits, SolverStats,
+    monolithic, partitioned, CncReason, Outcome, Solution, SolverKind, SolverLimits,
 };
 
 /// Everything that selects a flow and can change its result.
@@ -174,8 +174,6 @@ fn run_algorithm1(
     // The explicit pipeline keeps the static order: its per-state BDD
     // work is tiny and a mid-pipeline reorder would only add noise to
     // the cross-validation baseline.
-    let reorders_at_begin = eq.manager().stats().reorders;
-    let reorder_delta_at_begin = eq.manager().stats().reorder_node_delta;
     let mut sess = Session::begin(
         eq.manager(),
         limits,
@@ -192,28 +190,7 @@ fn run_algorithm1(
         sess.checkpoint(largest, 0)
     })?;
     sess.ensure_clean()?;
-    let bdd_stats = eq.manager().stats();
-    let stats = SolverStats {
-        subset_states: generic.general.num_states(),
-        transitions: generic.general.num_transitions(),
-        images: 0,
-        duration: sess.elapsed(),
-        peak_live_nodes: bdd_stats.peak_live_nodes,
-        cache_hit_rate: bdd_stats.cache_hit_rate(),
-        gc_survival_rate: bdd_stats.gc_survival_rate(),
-        avg_probe_length: bdd_stats.avg_probe_length(),
-        // This run's share (always 0 with the pinned static order, but
-        // deltaed like Session::finish so a reorder-heavy run on the same
-        // manager is never misattributed here).
-        reorders: bdd_stats.reorders - reorders_at_begin,
-        reorder_node_delta: bdd_stats.reorder_node_delta - reorder_delta_at_begin,
-    };
-    Ok(Solution {
-        general: generic.general,
-        prefix_closed: generic.prefix_closed,
-        csf: generic.csf,
-        stats,
-    })
+    Ok(sess.solution(generic.general, generic.prefix_closed, generic.csf))
 }
 
 #[cfg(test)]
@@ -252,6 +229,102 @@ mod tests {
         for pair in solutions.windows(2) {
             assert!(pair[0].csf.equivalent(&pair[1].csf));
             assert!(pair[0].prefix_closed.equivalent(&pair[1].prefix_closed));
+        }
+    }
+
+    /// Pins the exact general-solution and CSF snapshot bytes of every
+    /// subset-construction flow, with and without sifting. Any change to
+    /// the sequence of manager operations shifts GC and reorder timing
+    /// and, on the sifting rows, the bytes.
+    #[test]
+    fn golden_snapshot_bytes_per_flow() {
+        use crate::sig::fnv1a64;
+        use langeq_automata::snapshot::save;
+        let instances = [
+            (gen::figure3(), vec![1]),
+            (gen::counter("c4", 4), vec![2, 3]),
+        ];
+        let rows: [(&str, [(u64, u64); 2]); 5] = [
+            (
+                "flow=partitioned",
+                [
+                    (0xb1e6_3810_c2e2_d48b, 0xad23_54b3_c070_7152),
+                    (0x7cf6_7043_a29f_c3ae, 0x09ac_2cfa_e935_21eb),
+                ],
+            ),
+            (
+                "flow=partitioned trim=off",
+                [
+                    (0xb402_f9e3_56f6_69d0, 0x32e8_281c_9c08_2f79),
+                    (0xf962_f809_2c16_51de, 0xadb5_b1f0_7614_7007),
+                ],
+            ),
+            (
+                "flow=monolithic",
+                [
+                    (0xb402_f9e3_56f6_69d0, 0x32e8_281c_9c08_2f79),
+                    (0xf962_f809_2c16_51de, 0xadb5_b1f0_7614_7007),
+                ],
+            ),
+            (
+                "flow=partitioned reorder=sifting:50",
+                [
+                    (0x1e61_0729_36ff_03b1, 0xdad4_c462_6eb8_e043),
+                    (0x8f45_fd7a_14b9_9ad3, 0x61dd_0607_ddc1_708a),
+                ],
+            ),
+            (
+                "flow=monolithic reorder=sifting:50",
+                [
+                    (0x8868_6f63_6396_242d, 0x6f17_ccfe_2289_5d0e),
+                    (0x1eb4_06a5_df81_cffe, 0x3f15_2a70_abbd_eaf0),
+                ],
+            ),
+        ];
+        let mut bytes: Vec<Vec<Vec<u8>>> = Vec::new();
+        for (words, expected) in rows {
+            let mut config = SolveConfig::default();
+            for word in words.split(' ') {
+                let (key, value) = word.split_once('=').unwrap();
+                config.set(key, value).unwrap();
+            }
+            let mut row = Vec::new();
+            for ((net, split), (general, csf)) in instances.iter().zip(expected) {
+                let p = LatchSplitProblem::new(net, split).unwrap();
+                let s = config
+                    .solve(&p.equation, &Control::default())
+                    .into_result()
+                    .unwrap_or_else(|r| panic!("{words} on {}: {r}", net.name()));
+                let got = (fnv1a64(&save(&s.general)), fnv1a64(&save(&s.csf)));
+                assert_eq!(
+                    got,
+                    (general, csf),
+                    "{words} on {}: {:016x}/{:016x}",
+                    net.name(),
+                    got.0,
+                    got.1
+                );
+                if words.contains("sifting") {
+                    assert!(
+                        s.stats.reorders > 0,
+                        "{words} on {} never sifted",
+                        net.name()
+                    );
+                }
+                row.push(save(&s.general));
+            }
+            bytes.push(row);
+        }
+        assert_eq!(bytes[1], bytes[2], "untrimmed and monolithic bytes differ");
+    }
+
+    #[test]
+    fn unrepresentable_timeout_is_no_deadline() {
+        let p = figure3_problem();
+        let mut config = SolveConfig::default();
+        config.set("timeout", &u64::MAX.to_string()).unwrap();
+        if let Err(r) = config.solve(&p.equation, &Control::default()).into_result() {
+            panic!("unexpected CNC: {r}");
         }
     }
 

@@ -159,9 +159,13 @@ impl Control {
     }
 
     /// Convenience for [`with_deadline`](Self::with_deadline): a deadline
-    /// `timeout` from now.
+    /// `timeout` from now. A timeout too large to represent as an instant
+    /// sets no deadline.
     pub fn with_timeout(self, timeout: Duration) -> Self {
-        self.with_deadline(Instant::now() + timeout)
+        match Instant::now().checked_add(timeout) {
+            Some(deadline) => self.with_deadline(deadline),
+            None => self,
+        }
     }
 
     /// Registers the progress observer.
@@ -221,5 +225,10 @@ mod tests {
         });
         c.emit(SolveEvent::ImageComputed { total: 1 });
         assert_eq!(seen.borrow().len(), 2);
+    }
+
+    #[test]
+    fn unrepresentable_timeout_sets_no_deadline() {
+        assert_eq!(Control::new().with_timeout(Duration::MAX).deadline(), None);
     }
 }

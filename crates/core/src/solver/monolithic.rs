@@ -1,32 +1,31 @@
-//! The monolithic baseline: the flow the paper compares against.
+//! The monolithic baseline: the flow the paper compares against. This
+//! module owns only its compile phase and the per-subset image; the
+//! traditional subset construction itself is the driver shared with the
+//! partitioned flows, [`Session::subset_construction`].
 //!
 //! Exactly as described in §4: the specification is completed *first* (which
 //! requires one extra state variable, `csd/nsd`, because unreachable codes
 //! cannot encode the DC state — they have successors); the monolithic
 //! transition-output relations `TO_F` and `TO_S` are built as single BDDs;
-//! the intermediate product is derived; the `(i, o)` variables are hidden by
-//! existential quantification on the monolithic relation; and the subset
-//! construction runs "in the traditional way" — every subset is explored,
-//! including those containing the specification-complement's accepting DC
-//! state (no prefix-closed trimming).
+//! the intermediate product is derived; and the `(i, o)` variables are
+//! hidden by existential quantification on the monolithic relation. Each
+//! subset's image is one relational product against that relation, and
+//! every subset is explored, including those containing the
+//! specification-complement's accepting DC state (no prefix-closed
+//! trimming).
 //!
 //! Every one of these steps can blow up; the node limit turns such blow-ups
 //! into faithful `CNC` outcomes, as in Table 1.
 
-use std::collections::{HashMap, VecDeque};
-
-use langeq_automata::{Automaton, StateId};
 use langeq_bdd::{Bdd, VarId};
 
 use crate::equation::LanguageEquation;
 use crate::solver::session::Session;
 use crate::solver::{CncReason, Solution};
 
-#[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
 pub(crate) fn run(eq: &LanguageEquation, sess: &mut Session<'_>) -> Result<Solution, CncReason> {
     let mgr = eq.manager().clone();
     let vars = &eq.vars;
-    let uv = vars.uv();
 
     // ---- monolithic relations --------------------------------------------
     // TO_F(i,v,u,o,cs_f,ns_f) = ∧[ns≡T] ∧ ∧[u≡U] ∧ ∧[o≡OF]
@@ -97,64 +96,17 @@ pub(crate) fn run(eq: &LanguageEquation, sess: &mut Session<'_>) -> Result<Solut
         .chain([vars.csd])
         .collect();
     let cs_cube = mgr.positive_cube(&cs_all);
-    let ns_to_cs = vars.ns_to_cs_with_dc();
-    // A product state is accepting for the determinized product D iff it
-    // contains a (·, DC) pair — those become non-accepting in the final
-    // complemented answer.
-    let dc_marker = csd.clone();
-
-    let mut aut = Automaton::new(&mgr, &uv);
-    let mut index: HashMap<Bdd, StateId> = HashMap::new();
-    let mut work: VecDeque<Bdd> = VecDeque::new();
-
-    let xi0 = eq.initial_product_cube().and(&csd.not());
-    let s0 = aut.add_named_state(true, "xi0");
-    index.insert(xi0.clone(), s0);
-    aut.set_initial(s0);
-    work.push_back(xi0);
-    let mut dca: Option<StateId> = None;
-
-    let mut fixpoint_span = langeq_obs::span!("fixpoint");
-    while let Some(xi) = work.pop_front() {
-        sess.checkpoint(aut.num_states(), work.len() + 1)?;
-        let from = index[&xi];
+    let step = |sess: &mut Session<'_>, xi: &Bdd| {
         // Monolithic image: one relational product against the full TR.
-        let p = mgr.and_exists(&tr, &xi, &cs_cube);
+        let p = mgr.and_exists(&tr, xi, &cs_cube);
         sess.note_image();
-        let mut dom = mgr.zero();
-        for (guard, succ_ns) in mgr.cofactor_classes(&p, &uv) {
-            dom = dom.or(&guard);
-            let succ = succ_ns.rename(&ns_to_cs);
-            let to = match index.get(&succ) {
-                Some(&t) => t,
-                None => {
-                    // Accepting in the final answer iff the subset does NOT
-                    // contain the specification-complement's DC state.
-                    let contains_dc = !succ.and(&dc_marker).is_zero();
-                    let t = aut.add_named_state(
-                        !contains_dc,
-                        format!("xi{}{}", index.len(), if contains_dc { "+dc" } else { "" }),
-                    );
-                    index.insert(succ.clone(), t);
-                    work.push_back(succ);
-                    t
-                }
-            };
-            aut.add_transition(from, guard, to);
-        }
-        let rest = dom.not();
-        if !rest.is_zero() {
-            let t = *dca.get_or_insert_with(|| aut.add_named_state(true, "DCA"));
-            aut.add_transition(from, rest, t);
-        }
-    }
-    fixpoint_span.field("subset_states", aut.num_states());
-    drop(fixpoint_span);
-    if let Some(t) = dca {
-        aut.add_transition(t, mgr.one(), t);
-    }
-
-    sess.finish(eq, aut)
+        (p, None)
+    };
+    let xi0 = eq.initial_product_cube().and(&csd.not());
+    // Accepting in the final answer iff the subset does NOT contain the
+    // specification-complement's DC state.
+    let accepting = |succ: &Bdd| succ.and(&csd).is_zero();
+    sess.subset_construction(eq, xi0, &vars.ns_to_cs_with_dc(), step, accepting)
 }
 
 #[cfg(test)]

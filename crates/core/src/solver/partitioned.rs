@@ -1,46 +1,34 @@
-//! The paper's algorithm (§3.2): one modified subset construction over the
-//! partitioned representation, embedding completion, complementation,
-//! product and hiding.
+//! The paper's flow (§3.2) over the partitioned representation. This
+//! module owns only the compile phase — the partitioned relations, built
+//! once and reused for every subset state `ξ(cs)` — and the per-`ξ` step
+//! that [`Session::subset_construction`] drives:
 //!
-//! For every discovered subset state `ξ(cs)` (a BDD over the product state
-//! variables `cs = (cs_f, cs_s)`):
-//!
-//! * the **non-conformance condition** is computed one output at a time,
+//! * the **non-conformance condition**, computed one output at a time,
 //!
 //!   `Qξ(u,v) = ⋁_j ∃ i,cs . [⋀_k u_k ≡ U_k] ∧ ¬C_j ∧ ξ(cs)`,
 //!
-//!   these `(u,v)` letters can reach the complemented specification's DC
-//!   state, so they are redirected to the non-accepting trap `DCN`
+//!   whose letters can reach the complemented specification's DC state;
+//!   the driver redirects them to the non-accepting trap `DCN`
 //!   (prefix-closed trimming);
-//! * the **subset successor relation** is one partitioned image,
+//! * the **subset successor relation**, one partitioned image,
 //!
 //!   `Pξ(u,v,ns) = ∃ i,cs . [⋀ u≡U] ∧ [⋀ ns≡T] ∧ ξ(cs)`, restricted to
-//!   `¬Qξ`;
-//! * the distinct cofactors of `Pξ` over `(u,v)` are exactly the successor
-//!   subset states (`cofactor_classes`), renamed `ns → cs`;
-//! * letters covered by neither go to the accepting completion trap `DCA`
-//!   (the deferred completion of `F`, justified by Theorem 1 of the
-//!   appendix).
+//!   `¬Qξ`.
 //!
-//! The resulting automaton over `(u, v)` *is* the complement of the
-//! determinized product — no complementation pass is needed because the
-//! accepting/non-accepting interpretation is assigned directly (subset
-//! states and `DCA` accept; `DCN` rejects). `PrefixClose` and `Progressive`
-//! then carve out the Complete Sequential Flexibility.
+//! Every subset state accepts, so the resulting automaton *is* the
+//! complement of the determinized product — no complementation pass is
+//! needed.
 //!
 //! ## The untrimmed ablation
 //!
-//! With [`SolveConfig::trim_dcn`](crate::SolveConfig::trim_dcn) disabled, the solver instead runs
-//! the *traditional* subset construction (same language as the monolithic
-//! flow) while still using partitioned images: the specification partition
-//! is extended with the completion bit `csd`, exactly as the monolithic
-//! flow completes `S`, and subsets containing DC-paired product states are
-//! explored rather than collapsed. This isolates the cost of the paper's
-//! prefix-closed trimming in the ablation benchmarks.
+//! With [`SolveConfig::trim_dcn`](crate::SolveConfig::trim_dcn) disabled,
+//! the step computes no `Qξ`: the specification partition is extended with
+//! the completion bit `csd`, exactly as the monolithic flow completes `S`,
+//! and subsets containing DC-paired product states are explored (and
+//! rejecting) rather than collapsed. This is the *traditional* subset
+//! construction — the monolithic flow's language — with partitioned
+//! images, isolating the cost of the paper's trimming in the ablations.
 
-use std::collections::{HashMap, VecDeque};
-
-use langeq_automata::{Automaton, StateId};
 use langeq_bdd::Bdd;
 use langeq_image::{ImageComputer, ImageOptions};
 
@@ -49,7 +37,6 @@ use crate::solver::session::Session;
 use crate::solver::{CncReason, Solution};
 
 /// The paper's flow: prefix-closed trimming via `Qξ` and the `DCN` trap.
-#[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
 pub(crate) fn run_trimmed(
     eq: &LanguageEquation,
     image: ImageOptions,
@@ -57,14 +44,11 @@ pub(crate) fn run_trimmed(
 ) -> Result<Solution, CncReason> {
     let mgr = eq.manager().clone();
     let vars = &eq.vars;
-    let uv = vars.uv();
     let quantify = vars.partitioned_quantify();
-    let ns_to_cs = vars.ns_to_cs();
     // ξ from-sets range over the product state vars; protect them from
     // compile-time elimination so the fused schedule applies to every call.
     let protect = vars.product_state_vars();
 
-    // The partitioned relations, built once and reused for every ξ.
     let mut compile_span = langeq_obs::span!("compile");
     let u_parts = eq.u_parts();
     let mut pt_parts = u_parts.clone();
@@ -83,83 +67,27 @@ pub(crate) fn run_trimmed(
     compile_span.field("partitions", pt_parts.len());
     drop(compile_span);
 
-    let mut aut = Automaton::new(&mgr, &uv);
-    let mut index: HashMap<Bdd, StateId> = HashMap::new();
-    let mut work: VecDeque<Bdd> = VecDeque::new();
-
-    let xi0 = eq.initial_product_cube();
-    let s0 = aut.add_named_state(true, "xi0");
-    index.insert(xi0.clone(), s0);
-    aut.set_initial(s0);
-    work.push_back(xi0);
-
-    let mut dcn: Option<StateId> = None;
-    let mut dca: Option<StateId> = None;
-
-    let mut fixpoint_span = langeq_obs::span!("fixpoint");
-    while let Some(xi) = work.pop_front() {
-        sess.checkpoint(aut.num_states(), work.len() + 1)?;
-        let from = index[&xi];
-
+    let step = |sess: &mut Session<'_>, xi: &Bdd| {
         // Non-conformance letters, one output at a time with early exit.
         let mut q = mgr.zero();
         for qi in &q_images {
-            q = q.or(&qi.image(&xi));
+            q = q.or(&qi.image(xi));
             sess.note_image();
             if q.is_one() {
                 break;
             }
         }
-
-        let p = p_image.image(&xi).and(&q.not());
+        let p = p_image.image(xi).and(&q.not());
         sess.note_image();
-
-        let mut dom = mgr.zero();
-        for (guard, succ_ns) in mgr.cofactor_classes(&p, &uv) {
-            dom = dom.or(&guard);
-            let succ = succ_ns.rename(&ns_to_cs);
-            let to = match index.get(&succ) {
-                Some(&t) => t,
-                None => {
-                    let t = aut.add_named_state(true, format!("xi{}", index.len()));
-                    index.insert(succ.clone(), t);
-                    work.push_back(succ);
-                    t
-                }
-            };
-            aut.add_transition(from, guard, to);
-        }
-        // Letters that can mis-conform are redirected to the non-accepting
-        // trap (the paper's prefix-closed trimming).
-        if !q.is_zero() {
-            let t = *dcn.get_or_insert_with(|| aut.add_named_state(false, "DCN"));
-            aut.add_transition(from, q.clone(), t);
-        }
-        // Uncovered conforming letters: F is undefined there — deferred
-        // completion, accepting in the complemented answer.
-        let rest = dom.or(&q).not();
-        if !rest.is_zero() {
-            let t = *dca.get_or_insert_with(|| aut.add_named_state(true, "DCA"));
-            aut.add_transition(from, rest, t);
-        }
-    }
-    fixpoint_span.field("subset_states", aut.num_states());
-    drop(fixpoint_span);
-    // Universal self-loops on the traps.
-    if let Some(t) = dcn {
-        aut.add_transition(t, mgr.one(), t);
-    }
-    if let Some(t) = dca {
-        aut.add_transition(t, mgr.one(), t);
-    }
-
-    sess.finish(eq, aut)
+        (p, Some(q))
+    };
+    let xi0 = eq.initial_product_cube();
+    sess.subset_construction(eq, xi0, &vars.ns_to_cs(), step, |_| true)
 }
 
 /// The untrimmed ablation: traditional subset construction over the product
 /// with the **completed** specification (extra `csd` bit), still driven by
 /// partitioned images. Language-identical to the monolithic flow.
-#[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
 pub(crate) fn run_untrimmed(
     eq: &LanguageEquation,
     image: ImageOptions,
@@ -167,7 +95,6 @@ pub(crate) fn run_untrimmed(
 ) -> Result<Solution, CncReason> {
     let mgr = eq.manager().clone();
     let vars = &eq.vars;
-    let uv = vars.uv();
     let csd = mgr.var(vars.csd);
     let nsd = mgr.var(vars.nsd);
 
@@ -190,61 +117,19 @@ pub(crate) fn run_untrimmed(
     let mut protect = vars.product_state_vars();
     protect.push(vars.csd);
     let p_image = ImageComputer::with_protected(&mgr, &parts, &quantify, &protect, image);
-    let ns_to_cs = vars.ns_to_cs_with_dc();
     compile_span.field("partitions", parts.len());
     drop(compile_span);
 
-    let mut aut = Automaton::new(&mgr, &uv);
-    let mut index: HashMap<Bdd, StateId> = HashMap::new();
-    let mut work: VecDeque<Bdd> = VecDeque::new();
-
-    let xi0 = eq.initial_product_cube().and(&csd.not());
-    let s0 = aut.add_named_state(true, "xi0");
-    index.insert(xi0.clone(), s0);
-    aut.set_initial(s0);
-    work.push_back(xi0);
-    let mut dca: Option<StateId> = None;
-
-    let mut fixpoint_span = langeq_obs::span!("fixpoint");
-    while let Some(xi) = work.pop_front() {
-        sess.checkpoint(aut.num_states(), work.len() + 1)?;
-        let from = index[&xi];
-        let p = p_image.image(&xi);
+    let step = |sess: &mut Session<'_>, xi: &Bdd| {
+        let p = p_image.image(xi);
         sess.note_image();
-        let mut dom = mgr.zero();
-        for (guard, succ_ns) in mgr.cofactor_classes(&p, &uv) {
-            dom = dom.or(&guard);
-            let succ = succ_ns.rename(&ns_to_cs);
-            let to = match index.get(&succ) {
-                Some(&t) => t,
-                None => {
-                    // Accepting in the complemented answer iff the subset
-                    // contains no DC-paired product state.
-                    let contains_dc = !succ.and(&csd).is_zero();
-                    let t = aut.add_named_state(
-                        !contains_dc,
-                        format!("xi{}{}", index.len(), if contains_dc { "+dc" } else { "" }),
-                    );
-                    index.insert(succ.clone(), t);
-                    work.push_back(succ);
-                    t
-                }
-            };
-            aut.add_transition(from, guard, to);
-        }
-        let rest = dom.not();
-        if !rest.is_zero() {
-            let t = *dca.get_or_insert_with(|| aut.add_named_state(true, "DCA"));
-            aut.add_transition(from, rest, t);
-        }
-    }
-    fixpoint_span.field("subset_states", aut.num_states());
-    drop(fixpoint_span);
-    if let Some(t) = dca {
-        aut.add_transition(t, mgr.one(), t);
-    }
-
-    sess.finish(eq, aut)
+        (p, None)
+    };
+    let xi0 = eq.initial_product_cube().and(&csd.not());
+    // Accepting in the complemented answer iff the subset contains no
+    // DC-paired product state.
+    let accepting = |succ: &Bdd| succ.and(&csd).is_zero();
+    sess.subset_construction(eq, xi0, &vars.ns_to_cs_with_dc(), step, accepting)
 }
 
 #[cfg(test)]

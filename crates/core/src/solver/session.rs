@@ -2,7 +2,9 @@
 //! cooperative-abort guards, enforcing the
 //! [`SolverLimits`](crate::SolverLimits) and the
 //! [`Control`](crate::Control)'s token/deadline, and emitting
-//! [`SolveEvent`](crate::SolveEvent)s.
+//! [`SolveEvent`](crate::SolveEvent)s — and the one modified subset
+//! construction ([`Session::subset_construction`]) that the partitioned,
+//! untrimmed and monolithic flows all drive.
 //!
 //! A [`Session`] is created at the top of a solve and dropped at the end
 //! (whatever the outcome); its `Drop` disarms the engine guards, restores
@@ -11,10 +13,11 @@
 //! `catch_unwind`-based machinery could only promise after a panic had
 //! propagated through every stack frame.
 
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use langeq_automata::Automaton;
-use langeq_bdd::{AbortReason, BddManager, ReorderPolicy};
+use langeq_automata::{Automaton, StateId};
+use langeq_bdd::{AbortReason, Bdd, BddManager, ReorderPolicy, VarId};
 
 use crate::equation::LanguageEquation;
 use crate::solver::control::{Control, SolveEvent};
@@ -54,7 +57,8 @@ impl<'c> Session<'c> {
         kind: SolverKind,
     ) -> Self {
         let start = Instant::now();
-        let from_limit = limits.time_limit.map(|d| start + d);
+        // A limit too large to represent as an instant is no deadline.
+        let from_limit = limits.time_limit.and_then(|d| start.checked_add(d));
         let deadline = match (from_limit, ctrl.deadline()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -97,9 +101,10 @@ impl<'c> Session<'c> {
             .emit(SolveEvent::ImageComputed { total: self.images });
     }
 
-    /// The per-iteration control point of the subset-construction loops:
-    /// emits progress events, then checks (in order) a pending engine abort,
-    /// the cancellation token, the deadline, and the state budget.
+    /// The per-iteration control point of the subset construction (and of
+    /// each Algorithm-1 pipeline step): emits progress events, then checks
+    /// (in order) a pending engine abort, the cancellation token, the
+    /// deadline, and the state budget.
     pub(crate) fn checkpoint(
         &mut self,
         discovered: usize,
@@ -169,6 +174,18 @@ impl<'c> Session<'c> {
         drop(span);
         // The post-processing itself runs under the engine guards too.
         self.ensure_clean()?;
+        Ok(self.solution(general, prefix_closed, csf))
+    }
+
+    /// Assembles the [`Solution`] with this run's statistics: images
+    /// counted by [`note_image`](Self::note_image), and the reorder
+    /// counters' share since [`begin`](Self::begin).
+    pub(crate) fn solution(
+        &self,
+        general: Automaton,
+        prefix_closed: Automaton,
+        csf: Automaton,
+    ) -> Solution {
         let bdd_stats = self.mgr.stats();
         let stats = SolverStats {
             subset_states: general.num_states(),
@@ -182,12 +199,100 @@ impl<'c> Session<'c> {
             reorders: bdd_stats.reorders - self.reorders_at_begin,
             reorder_node_delta: bdd_stats.reorder_node_delta - self.reorder_delta_at_begin,
         };
-        Ok(Solution {
+        Solution {
             general,
             prefix_closed,
             csf,
             stats,
-        })
+        }
+    }
+
+    /// The modified subset construction of §3.2 and §4, shared by every
+    /// symbolic flow, followed by [`finish`](Self::finish).
+    ///
+    /// From `xi0`, every discovered subset `ξ` is handed to `step`, which
+    /// returns the successor relation `P(u,v,ns)` and, for the trimmed
+    /// flow, the non-conformance letters `Q(u,v)` (already removed from
+    /// `P`). The distinct cofactors of `P` over `(u,v)` renamed by
+    /// `ns_to_cs` are the successor subsets; a new one is accepting iff
+    /// `accepting` says so. `Q` goes to the non-accepting trap `DCN`, the
+    /// uncovered letters to the accepting completion trap `DCA`.
+    ///
+    /// Every manager operation here is a GC and reorder trigger point, so
+    /// the loop performs no operation a flow does not need: without `Q`
+    /// the uncovered letters are `¬dom`, not `¬(dom ∨ 0)`.
+    #[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
+    pub(crate) fn subset_construction(
+        &mut self,
+        eq: &LanguageEquation,
+        xi0: Bdd,
+        ns_to_cs: &[(VarId, VarId)],
+        mut step: impl FnMut(&mut Self, &Bdd) -> (Bdd, Option<Bdd>),
+        accepting: impl Fn(&Bdd) -> bool,
+    ) -> Result<Solution, CncReason> {
+        let mgr = eq.manager();
+        let uv = eq.vars.uv();
+        let mut aut = Automaton::new(mgr, &uv);
+        let mut index: HashMap<Bdd, StateId> = HashMap::new();
+        let mut work: VecDeque<Bdd> = VecDeque::new();
+
+        let s0 = aut.add_named_state(true, "xi0");
+        index.insert(xi0.clone(), s0);
+        aut.set_initial(s0);
+        work.push_back(xi0);
+
+        let mut dcn: Option<StateId> = None;
+        let mut dca: Option<StateId> = None;
+
+        let mut fixpoint_span = langeq_obs::span!("fixpoint");
+        while let Some(xi) = work.pop_front() {
+            self.checkpoint(aut.num_states(), work.len() + 1)?;
+            let from = index[&xi];
+            let (p, q) = step(self, &xi);
+            let mut dom = mgr.zero();
+            for (guard, succ_ns) in mgr.cofactor_classes(&p, &uv) {
+                dom = dom.or(&guard);
+                let succ = succ_ns.rename(ns_to_cs);
+                let to = match index.get(&succ) {
+                    Some(&t) => t,
+                    None => {
+                        let acc = accepting(&succ);
+                        let dc = if acc { "" } else { "+dc" };
+                        let t = aut.add_named_state(acc, format!("xi{}{dc}", index.len()));
+                        index.insert(succ.clone(), t);
+                        work.push_back(succ);
+                        t
+                    }
+                };
+                aut.add_transition(from, guard, to);
+            }
+            let rest = match &q {
+                Some(q) => {
+                    // Letters that can mis-conform are redirected to the
+                    // non-accepting trap (the prefix-closed trimming).
+                    if !q.is_zero() {
+                        let t = *dcn.get_or_insert_with(|| aut.add_named_state(false, "DCN"));
+                        aut.add_transition(from, q.clone(), t);
+                    }
+                    dom.or(q).not()
+                }
+                None => dom.not(),
+            };
+            // Uncovered conforming letters: deferred completion, accepting
+            // in the complemented answer.
+            if !rest.is_zero() {
+                let t = *dca.get_or_insert_with(|| aut.add_named_state(true, "DCA"));
+                aut.add_transition(from, rest, t);
+            }
+        }
+        fixpoint_span.field("subset_states", aut.num_states());
+        drop(fixpoint_span);
+        // Universal self-loops on the traps.
+        for t in [dcn, dca].into_iter().flatten() {
+            aut.add_transition(t, mgr.one(), t);
+        }
+
+        self.finish(eq, aut)
     }
 
     /// The duration to report in [`CncReason::Timeout`]: the configured

@@ -5,8 +5,9 @@
 //! end-to-end over a family of circuits.
 
 use langeq::prelude::*;
-use langeq_core::algorithm1;
-use langeq_logic::gen;
+use langeq_core::{algorithm1, verify};
+use langeq_logic::{bench_fmt, gen};
+use proptest::prelude::*;
 
 /// Compares the partitioned and monolithic solvers; when `with_generic` is
 /// set, also the explicit Algorithm-1 pipeline (which materialises every
@@ -104,7 +105,7 @@ fn small_random_controllers() {
 }
 
 #[test]
-#[ignore = "takes minutes in debug builds; run with --ignored (ideally --release)"]
+#[ignore = "about 18 s in debug builds, 2 s in release; CI runs it with --release --include-ignored"]
 fn random_controllers_heavy() {
     // The wider sweep: more seeds and the harder half/half splits, where
     // the monolithic baseline grinds through large intermediate relations.
@@ -118,5 +119,60 @@ fn random_controllers_heavy() {
         ));
         check(&net, &[0, 1], false);
         check(&net, &[3], false);
+    }
+}
+
+/// Solves `p` with one configuration, failing the case on a CNC.
+fn solve(p: &LatchSplitProblem, words: &str, bench: &str) -> Result<Solution, TestCaseError> {
+    let mut config = SolveConfig::default();
+    for word in words.split(' ') {
+        let (key, value) = word.split_once('=').expect("key=value");
+        config.set(key, value).expect("valid setting");
+    }
+    config
+        .solve(&p.equation, &Control::default())
+        .into_result()
+        .map_err(|r| TestCaseError::fail(format!("{words} did not complete ({r}) on\n{bench}")))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    /// Random controllers and random latch splits: the trimmed, untrimmed
+    /// and monolithic flows, each with and without sifting, agree on the
+    /// prefix-closed solution and the CSF; the untrimmed and monolithic
+    /// general solutions coincide; and the CSF passes the verifier.
+    #[test]
+    fn random_controllers_agree_across_flows(
+        (seed, inputs, outputs, latches) in (any::<u64>(), 1usize..=2, 1usize..=2, 2usize..=3),
+        mask in any::<u64>(),
+    ) {
+        let cfg = gen::ControllerCfg::new("rand", seed, inputs, outputs, latches);
+        let net = gen::random_controller(&cfg);
+        // A non-empty proper subset of the latches.
+        let mask = 1 + mask % ((1 << latches) - 2);
+        let split: Vec<usize> = (0..latches).filter(|k| (mask >> k) & 1 == 1).collect();
+        let bench = format!("split {split:?} of\n{}", bench_fmt::write(&net).expect("writable"));
+        let p = LatchSplitProblem::new(&net, &split).expect("split");
+
+        let mut all = Vec::new();
+        for reorder in ["reorder=none", "reorder=sifting:50"] {
+            let trimmed = solve(&p, &format!("flow=partitioned {reorder}"), &bench)?;
+            let untrimmed = solve(&p, &format!("flow=partitioned trim=off {reorder}"), &bench)?;
+            let mono = solve(&p, &format!("flow=monolithic {reorder}"), &bench)?;
+            prop_assert!(
+                untrimmed.general.equivalent(&mono.general),
+                "untrimmed vs mono general ({reorder}) on {bench}"
+            );
+            all.extend([trimmed, untrimmed, mono]);
+        }
+        for (k, s) in all.iter().enumerate().skip(1) {
+            prop_assert!(all[0].csf.equivalent(&s.csf), "CSF of run {k} on {bench}");
+            prop_assert!(
+                all[0].prefix_closed.equivalent(&s.prefix_closed),
+                "prefix-closed solution of run {k} on {bench}"
+            );
+        }
+        let report = verify::verify_latch_split(&p, &all[0].csf);
+        prop_assert!(report.all_passed(), "{report:?} on {bench}");
     }
 }
