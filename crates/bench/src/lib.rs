@@ -63,7 +63,9 @@ pub struct Table1Row {
     pub partitioned: RunResult,
     /// Monolithic-run result.
     pub monolithic: RunResult,
-    /// Did the verification checks pass (when run)?
+    /// Did both verification checks pass on the partitioned CSF? `None`
+    /// when the partitioned run did not complete, and for rows of
+    /// [`run_table1_suite`], which keeps counters rather than solutions.
     pub verified: Option<bool>,
     /// The values the paper reports for the original ISCAS circuit.
     pub paper: gen::PaperRow,
@@ -86,8 +88,6 @@ pub struct HarnessOptions {
     pub time_limit: Duration,
     /// Per-run live-node limit.
     pub node_limit: usize,
-    /// Run the paper's verification checks on the partitioned CSF.
-    pub verify: bool,
 }
 
 impl Default for HarnessOptions {
@@ -95,7 +95,6 @@ impl Default for HarnessOptions {
         HarnessOptions {
             time_limit: Duration::from_secs(120),
             node_limit: 8_000_000,
-            verify: false,
         }
     }
 }
@@ -135,7 +134,8 @@ fn to_run_result(outcome: &Outcome, time: Duration) -> RunResult {
     }
 }
 
-/// Runs both symbolic solvers on one instance.
+/// Runs both symbolic solvers on one instance and checks the partitioned
+/// CSF with both of the paper's verification checks.
 pub fn run_instance(inst: &Table1Instance, opts: &HarnessOptions) -> Table1Row {
     let part = SolveConfig {
         limits: limits(opts),
@@ -147,9 +147,9 @@ pub fn run_instance(inst: &Table1Instance, opts: &HarnessOptions) -> Table1Row {
     };
 
     let (problem, part_outcome, part_time) = run_solver(inst, &part);
-    let verified = match (&part_outcome, opts.verify) {
-        (Outcome::Solved(sol), true) => Some(verify_latch_split(&problem, &sol.csf).all_passed()),
-        _ => None,
+    let verified = match &part_outcome {
+        Outcome::Solved(sol) => Some(verify_latch_split(&problem, &sol.csf).all_passed()),
+        Outcome::Cnc(_) => None,
     };
     let partitioned = to_run_result(&part_outcome, part_time);
     drop(part_outcome);
@@ -459,7 +459,6 @@ mod tests {
         let opts = HarnessOptions {
             time_limit: Duration::from_secs(60),
             node_limit: 4_000_000,
-            verify: false,
         };
         let plan = SuitePlan::new()
             .instance(InstanceSpec::new(
@@ -503,7 +502,6 @@ mod tests {
             &HarnessOptions {
                 time_limit: Duration::from_secs(60),
                 node_limit: 4_000_000,
-                verify: true,
             },
         );
         assert!(matches!(row.partitioned, RunResult::Done { .. }));

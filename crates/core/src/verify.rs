@@ -4,10 +4,27 @@
 //! 2. `F ∘ X ⊆ S` — the flexibility composed with the fixed part satisfies
 //!    the specification.
 //!
-//! Both checks run a **symbolic-explicit product**: the explicit states of
-//! `X` are annotated with BDDs over the symbolic state space of the other
-//! component, so the machinery scales to flexibilities with many thousands
-//! of states without ever enumerating the symbolic side.
+//! Both checks run a **symbolic-explicit product**: each explicit state of
+//! `X` is annotated with a BDD over the symbolic state space of the other
+//! component, and a worklist grows the annotations edge by edge until they
+//! stop changing. The symbolic side is never enumerated, so the checks
+//! scale to flexibilities with many thousands of states.
+//!
+//! Check (2) is **label-indexed**. A CSF has far more edges than distinct
+//! labels (`sim_s349`: 99 328 edges, 82 labels), so for each distinct label
+//! `ℓ(u, v)` two relations over the product state are computed once, with
+//! `ℓ` as the image's from-set and `i ∪ u ∪ v` quantified:
+//!
+//! * `M_ℓ(cs) = ∃i,u,v. ℓ ∧ ⋀(u ≡ U) ∧ ¬C` — the product states from which
+//!   some letter of `ℓ` makes `F`'s output disagree with `S`;
+//! * `N_ℓ(cs, ns) = ∃i,u,v. ℓ ∧ ⋀(u ≡ U) ∧ ⋀(ns ≡ T)` — the product moves
+//!   under the letters of `ℓ`.
+//!
+//! An edge with label `ℓ` leaving an annotation `R` fails iff `R ∧ M_ℓ ≠ 0`;
+//! otherwise its successors are `(∃cs. R ∧ N_ℓ)[ns → cs]`. `N_ℓ` omits the
+//! conformance condition `C`: once the edge's own mismatch test has passed,
+//! every move of `R` under `ℓ` conforms, so conjoining `C` would change
+//! nothing.
 
 use std::collections::HashMap;
 
@@ -73,18 +90,17 @@ pub fn xp_contained_in(problem: &LatchSplitProblem, x: &Automaton) -> bool {
         // automaton has none.
         return false;
     };
-    let v_to_cube = |bits: &[bool]| -> Bdd {
-        let lits: Vec<_> = vars.v.iter().copied().zip(bits.iter().copied()).collect();
-        mgr.cube(&lits)
-    };
-    let init_bits = problem.xp.initial_state();
+    let init_lits: Vec<_> = vars
+        .v
+        .iter()
+        .copied()
+        .zip(problem.xp.initial_state())
+        .collect();
+    let v_cube = mgr.positive_cube(&vars.v);
     let u_to_v = vars.u_to_v();
 
-    let mut annot: HashMap<StateId, Bdd> = HashMap::new();
-    annot.insert(x0, v_to_cube(&init_bits));
-    let mut work = vec![x0];
-    while let Some(xs) = work.pop() {
-        let r = annot[&xs].clone();
+    let mut product = Product::new(x, x0, mgr.cube(&init_lits));
+    while let Some((xs, r)) = product.pop() {
         // X_P at state b offers every u with v = b; x must cover all of
         // them: violation iff some (u, v∈R) is undefined in x.
         let dom = x.defined_labels(xs);
@@ -93,18 +109,9 @@ pub fn xp_contained_in(problem: &LatchSplitProblem, x: &Automaton) -> bool {
         }
         for (label, xt) in x.transitions_from(xs) {
             // Successor X_P states: v' = u for any enabled (u, v∈R).
-            let next_u = r.and(label).exists(&vars.v);
-            if next_u.is_zero() {
-                continue;
-            }
-            let next = next_u.rename(&u_to_v);
-            let entry = annot.entry(*xt).or_insert_with(|| mgr.zero());
-            let merged = entry.or(&next);
-            if merged != *entry {
-                *entry = merged;
-                if !work.contains(xt) {
-                    work.push(*xt);
-                }
+            let next_u = mgr.and_exists(&r, label, &v_cube);
+            if !next_u.is_zero() {
+                product.merge(*xt, next_u.rename(&u_to_v));
             }
         }
     }
@@ -114,11 +121,10 @@ pub fn xp_contained_in(problem: &LatchSplitProblem, x: &Automaton) -> bool {
 /// Check (2): `F ∘ X ⊆ S` for an explicit `x` over `(u, v)`.
 ///
 /// Each explicit state of `x` is annotated with the reachable set
-/// `R(cs_f, cs_s)` of symbolic product states. A violation is a reachable
-/// annotation from which some `(i, v)` yields an `F` output that the
-/// specification disagrees with, while `x` admits the corresponding
-/// `(u, v)` letter — precisely the `Qξ` computation of the solver, reused
-/// here as a checker.
+/// `R(cs_f, cs_s)` of symbolic product states. Each distinct label `ℓ` of
+/// `x` gets its mismatch set `M_ℓ` and its move relation `N_ℓ` once (see
+/// the module docs); an edge then costs one conjunction (the mismatch
+/// test `R ∧ M_ℓ`) and one relational product (`∃cs. R ∧ N_ℓ`).
 pub fn composition_contained_in_spec(eq: &LanguageEquation, x: &Automaton) -> bool {
     let mgr = eq.manager();
     let vars = &eq.vars;
@@ -126,67 +132,82 @@ pub fn composition_contained_in_spec(eq: &LanguageEquation, x: &Automaton) -> bo
         // Empty X: the composition has no behaviour, trivially contained.
         return true;
     };
-    let u_parts = eq.u_parts();
+    // Both images take a label as from-set: quantify i ∪ u ∪ v, protect the
+    // letter variables the label mentions.
+    let letters = vars.uv();
+    let mut quantify = vars.i.clone();
+    quantify.extend(&letters);
+    let label_image = |extra: Vec<Bdd>| {
+        let mut parts = eq.u_parts();
+        parts.extend(extra);
+        ImageComputer::with_protected(mgr, &parts, &quantify, &letters, ImageOptions::default())
+    };
     let conf_all = mgr.and_all(&eq.conformance_parts());
-
-    // Mismatch image: (u, v) letters under which some i makes F's output
-    // disagree with S, given the current annotation R.
-    let mismatch_img = {
-        let mut parts = u_parts.clone();
-        parts.push(conf_all.not());
-        ImageComputer::with_protected(
-            mgr,
-            &parts,
-            &vars.partitioned_quantify(),
-            &vars.product_state_vars(),
-            ImageOptions::default(),
-        )
-    };
-    // Propagation image: next product states under conforming, x-enabled
-    // letters. `from` is R ∧ label — protect the state vars *and* the
-    // letter vars it mentions.
-    let prop_img = {
-        let mut parts = u_parts;
-        parts.extend(eq.product_transition_parts());
-        parts.push(conf_all);
-        let mut quantify = vars.partitioned_quantify();
-        quantify.extend(vars.uv());
-        let mut protect = vars.product_state_vars();
-        protect.extend(vars.uv());
-        ImageComputer::with_protected(mgr, &parts, &quantify, &protect, ImageOptions::default())
-    };
+    let mismatch_img = label_image(vec![conf_all.not()]);
+    let move_img = label_image(eq.product_transition_parts());
+    let cs_cube = mgr.positive_cube(&vars.product_state_vars());
     let ns_to_cs = vars.ns_to_cs();
 
-    let mut annot: HashMap<StateId, Bdd> = HashMap::new();
-    annot.insert(x0, eq.initial_product_cube());
-    let mut work = vec![x0];
-    while let Some(xs) = work.pop() {
-        let r = annot[&xs].clone();
-        let dom = x.defined_labels(xs);
-        let bad = mismatch_img.image(&r);
-        if !bad.and(&dom).is_zero() {
-            return false;
-        }
+    #[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
+    let mut per_label: HashMap<Bdd, (Bdd, Bdd)> = HashMap::new();
+    let mut product = Product::new(x, x0, eq.initial_product_cube());
+    while let Some((xs, r)) = product.pop() {
         for (label, xt) in x.transitions_from(xs) {
-            let from = r.and(label);
-            if from.is_zero() {
-                continue;
+            let (mismatch, moves) = per_label
+                .entry(label.clone())
+                .or_insert_with(|| (mismatch_img.image(label), move_img.image(label)));
+            if !r.and(mismatch).is_zero() {
+                return false;
             }
-            let next = prop_img.image(&from).rename(&ns_to_cs);
-            if next.is_zero() {
-                continue;
-            }
-            let entry = annot.entry(*xt).or_insert_with(|| mgr.zero());
-            let merged = entry.or(&next);
-            if merged != *entry {
-                *entry = merged;
-                if !work.contains(xt) {
-                    work.push(*xt);
-                }
+            let next = mgr.and_exists(&r, moves, &cs_cube);
+            if !next.is_zero() {
+                product.merge(*xt, next.rename(&ns_to_cs));
             }
         }
     }
     true
+}
+
+/// The worklist of a symbolic-explicit product: one annotation per state
+/// of `x` (zero until reached) and a LIFO queue of the states whose
+/// annotation grew since they were last popped.
+struct Product {
+    annot: Vec<Bdd>,
+    queued: Vec<bool>,
+    work: Vec<StateId>,
+}
+
+impl Product {
+    /// Starts the product at `x0` annotated with `init`.
+    fn new(x: &Automaton, x0: StateId, init: Bdd) -> Self {
+        let n = x.num_states();
+        let mut product = Product {
+            annot: vec![x.manager().zero(); n],
+            queued: vec![false; n],
+            work: Vec::new(),
+        };
+        product.merge(x0, init);
+        product
+    }
+
+    /// The next queued state with its current annotation.
+    fn pop(&mut self) -> Option<(StateId, Bdd)> {
+        let xs = self.work.pop()?;
+        self.queued[xs.index()] = false;
+        Some((xs, self.annot[xs.index()].clone()))
+    }
+
+    /// Adds `next` to the annotation of `xt`, queueing `xt` if it grew.
+    fn merge(&mut self, xt: StateId, next: Bdd) {
+        let entry = &mut self.annot[xt.index()];
+        let merged = entry.or(&next);
+        if merged != *entry {
+            *entry = merged;
+            if !std::mem::replace(&mut self.queued[xt.index()], true) {
+                self.work.push(xt);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

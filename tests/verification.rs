@@ -1,10 +1,16 @@
 //! End-to-end verification: for each solved instance, the paper's checks
 //! (1) `X_P ⊆ X` and (2) `F ∘ X ⊆ S` must pass — and deliberately broken
-//! flexibilities must fail them.
+//! flexibilities must fail them. A differential property compares both
+//! checks against a per-state, per-edge reference implementation on
+//! random networks and mutated solutions.
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use langeq::prelude::*;
 use langeq_core::verify::{composition_contained_in_spec, verify_latch_split, xp_contained_in};
-use langeq_logic::gen;
+use langeq_image::ImageOptions;
+use langeq_logic::{bench_fmt, gen};
+use proptest::prelude::*;
 
 fn solve(net: &Network, unknown: &[usize]) -> (LatchSplitProblem, Solution) {
     let p = LatchSplitProblem::new(net, unknown).expect("split");
@@ -106,4 +112,269 @@ fn verification_report_formats() {
     let text = report.to_string();
     assert!(text.contains("X_P"));
     assert!(text.contains("ok"));
+}
+
+#[test]
+#[ignore = "about 7 s in release on 2 vCPUs (three multi-second solves at static order); CI runs it with --release --include-ignored"]
+fn table1_large_static_rows_verify() {
+    // The large Table-1 cells at static order, whose BDDs reach millions
+    // of nodes: both checks must pass on each CSF.
+    let instances = gen::table1();
+    for (name, flow) in [
+        ("sim_s444", SolverKind::Partitioned),
+        ("sim_s444", SolverKind::Monolithic),
+        ("sim_s526", SolverKind::Partitioned),
+    ] {
+        let inst = instances
+            .iter()
+            .find(|inst| inst.name == name)
+            .expect("Table-1 instance");
+        let p = LatchSplitProblem::new(&inst.network, &inst.unknown_latches).expect("split");
+        let config = SolveConfig {
+            flow,
+            ..SolveConfig::default()
+        };
+        let sol = config
+            .solve(&p.equation, &Control::default())
+            .into_result()
+            .expect("instance solves");
+        let report = verify_latch_split(&p, &sol.csf);
+        assert!(report.all_passed(), "{name} {flow:?}: {report}");
+    }
+}
+
+/// Reference `X_P ⊆ X`: the straightforward product, quantifying `v` after
+/// the conjunction.
+fn reference_xp_contained_in(problem: &LatchSplitProblem, x: &Automaton) -> bool {
+    let eq = &problem.equation;
+    let mgr = eq.manager();
+    let vars = &eq.vars;
+    let Some(x0) = x.initial() else {
+        return false;
+    };
+    let lits: Vec<_> = vars
+        .v
+        .iter()
+        .copied()
+        .zip(problem.xp.initial_state())
+        .collect();
+    let u_to_v = vars.u_to_v();
+    let mut annot = vec![mgr.zero(); x.num_states()];
+    annot[x0.index()] = mgr.cube(&lits);
+    let mut work = vec![x0];
+    while let Some(xs) = work.pop() {
+        let r = annot[xs.index()].clone();
+        if !r.and(&x.defined_labels(xs).not()).is_zero() {
+            return false;
+        }
+        for (label, xt) in x.transitions_from(xs) {
+            let next = r.and(label).exists(&vars.v).rename(&u_to_v);
+            let merged = annot[xt.index()].or(&next);
+            if merged != annot[xt.index()] {
+                annot[xt.index()] = merged;
+                if !work.contains(xt) {
+                    work.push(*xt);
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Reference `F ∘ X ⊆ S`: one mismatch image per state (over the state's
+/// annotation) and one propagation image per edge (from `R ∧ label`, with
+/// the conformance condition in the relation).
+fn reference_composition_contained(eq: &LanguageEquation, x: &Automaton) -> bool {
+    let mgr = eq.manager();
+    let vars = &eq.vars;
+    let Some(x0) = x.initial() else {
+        return true;
+    };
+    let conf_all = mgr.and_all(&eq.conformance_parts());
+    let mut mismatch_parts = eq.u_parts();
+    mismatch_parts.push(conf_all.not());
+    let mismatch_img = ImageComputer::with_protected(
+        mgr,
+        &mismatch_parts,
+        &vars.partitioned_quantify(),
+        &vars.product_state_vars(),
+        ImageOptions::default(),
+    );
+    let mut prop_parts = eq.u_parts();
+    prop_parts.extend(eq.product_transition_parts());
+    prop_parts.push(conf_all);
+    let mut quantify = vars.partitioned_quantify();
+    quantify.extend(vars.uv());
+    let mut protect = vars.product_state_vars();
+    protect.extend(vars.uv());
+    let prop_img = ImageComputer::with_protected(
+        mgr,
+        &prop_parts,
+        &quantify,
+        &protect,
+        ImageOptions::default(),
+    );
+    let ns_to_cs = vars.ns_to_cs();
+    let mut annot = vec![mgr.zero(); x.num_states()];
+    annot[x0.index()] = eq.initial_product_cube();
+    let mut work = vec![x0];
+    while let Some(xs) = work.pop() {
+        let r = annot[xs.index()].clone();
+        if !mismatch_img.image(&r).and(&x.defined_labels(xs)).is_zero() {
+            return false;
+        }
+        for (label, xt) in x.transitions_from(xs) {
+            let next = prop_img.image(&r.and(label)).rename(&ns_to_cs);
+            let merged = annot[xt.index()].or(&next);
+            if merged != annot[xt.index()] {
+                annot[xt.index()] = merged;
+                if !work.contains(xt) {
+                    work.push(*xt);
+                }
+            }
+        }
+    }
+    true
+}
+
+/// A copy of `x` with its `k`-th edge (counted over all states) sent to
+/// state `to` instead.
+fn redirect_edge(x: &Automaton, k: usize, to: usize) -> Automaton {
+    let mut y = Automaton::new(x.manager(), x.alphabet());
+    for s in 0..x.num_states() {
+        y.add_state(x.is_accepting(StateId(s as u32)));
+    }
+    if let Some(x0) = x.initial() {
+        y.set_initial(x0);
+    }
+    let to = StateId((to % x.num_states()) as u32);
+    let mut index = 0;
+    for s in 0..x.num_states() {
+        let s = StateId(s as u32);
+        for (label, t) in x.transitions_from(s) {
+            y.add_transition(s, label.clone(), if index == k { to } else { *t });
+            index += 1;
+        }
+    }
+    y
+}
+
+/// A copy of `x` where state `from` gains an edge to `to` on every letter
+/// it leaves undefined, or `None` if every state of `x` is complete.
+fn cover_uncovered_letters(x: &Automaton, from: usize, to: usize) -> Option<Automaton> {
+    let n = x.num_states();
+    let from = (0..n)
+        .map(|k| StateId(((from + k) % n) as u32))
+        .find(|&s| !x.defined_labels(s).is_one())?;
+    let mut y = x.clone();
+    y.add_transition(from, x.defined_labels(from).not(), StateId((to % n) as u32));
+    Some(y)
+}
+
+/// One case of the differential property: solve a random controller under
+/// a random latch split and compare both checks with the references on
+/// the solution's three automata and their mutated copies. Returns the
+/// number of `false` verdicts, or `None` if the solve hit the subset-state
+/// ceiling.
+fn differential_case(
+    (seed, inputs, outputs, latches): (u64, usize, usize, usize),
+    (mask, edge, to): (u64, usize, usize),
+) -> Result<Option<u32>, TestCaseError> {
+    let cfg = gen::ControllerCfg::new("rand", seed, inputs, outputs, latches);
+    let net = gen::random_controller(&cfg);
+    let mask = 1 + mask % ((1 << latches) - 2);
+    let split: Vec<usize> = (0..latches).filter(|k| (mask >> k) & 1 == 1).collect();
+    let bench = format!(
+        "split {split:?} of\n{}",
+        bench_fmt::write(&net).expect("writable")
+    );
+    let p = LatchSplitProblem::new(&net, &split).expect("split");
+    // A few draws explode to ~10^5 subset states, where one product takes
+    // tens of seconds; the ceiling skips them.
+    let mut config = SolveConfig::default();
+    config.limits.max_states = Some(MAX_SUBSET_STATES);
+    let sol = match config.solve(&p.equation, &Control::default()) {
+        Outcome::Solved(sol) => sol,
+        Outcome::Cnc(_) => return Ok(None),
+    };
+
+    let mut automata = Vec::new();
+    for (name, x) in [
+        ("csf", &sol.csf),
+        ("prefix_closed", &sol.prefix_closed),
+        ("general", &sol.general),
+    ] {
+        automata.push((name.to_string(), x.clone()));
+        if x.num_transitions() > 0 {
+            let k = edge % x.num_transitions();
+            automata.push((
+                format!("{name} with edge {k} redirected"),
+                redirect_edge(x, k, to),
+            ));
+        }
+        if let Some(y) = cover_uncovered_letters(x, edge, to) {
+            automata.push((format!("{name} with an extra edge"), y));
+        }
+    }
+    let mut false_verdicts = 0;
+    for (name, x) in &automata {
+        let xp = xp_contained_in(&p, x);
+        prop_assert_eq!(
+            xp,
+            reference_xp_contained_in(&p, x),
+            "X_P ⊆ X on {} of {}",
+            name,
+            bench
+        );
+        let compose = composition_contained_in_spec(&p.equation, x);
+        prop_assert_eq!(
+            compose,
+            reference_composition_contained(&p.equation, x),
+            "F∘X ⊆ S on {} of {}",
+            name,
+            bench
+        );
+        false_verdicts += u32::from(!xp) + u32::from(!compose);
+    }
+    Ok(Some(false_verdicts))
+}
+
+const DIFFERENTIAL_CASES: u32 = 24;
+/// The subset-state ceiling of the differential property's solves.
+const MAX_SUBSET_STATES: usize = 2000;
+/// Cases drawn, cases checked and `false` verdicts seen so far by the
+/// differential property (its cases run one after another in one test).
+static CASES_DRAWN: AtomicU32 = AtomicU32::new(0);
+static CASES_CHECKED: AtomicU32 = AtomicU32::new(0);
+static FALSE_VERDICTS: AtomicU32 = AtomicU32::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(DIFFERENTIAL_CASES))]
+    /// Random controllers and random latch splits: on the CSF, the
+    /// prefix-closed and the general solution, and on mutated copies of
+    /// each (one edge redirected; an extra edge on a state's undefined
+    /// letters), both checks agree with the reference implementations.
+    /// Across all cases, most solves finish under the ceiling and some
+    /// verdicts are `false`.
+    #[test]
+    fn checks_agree_with_reference_on_random_and_mutated_automata(
+        shape in (any::<u64>(), 1usize..=2, 1usize..=2, 2usize..=4),
+        (mask, edge, to) in (any::<u64>(), any::<u64>(), any::<u64>()),
+    ) {
+        if let Some(false_verdicts) = differential_case(shape, (mask, edge as usize, to as usize))? {
+            CASES_CHECKED.fetch_add(1, Ordering::Relaxed);
+            FALSE_VERDICTS.fetch_add(false_verdicts, Ordering::Relaxed);
+        }
+        if CASES_DRAWN.fetch_add(1, Ordering::Relaxed) + 1 == DIFFERENTIAL_CASES {
+            let checked = CASES_CHECKED.load(Ordering::Relaxed);
+            prop_assert!(
+                checked * 4 >= DIFFERENTIAL_CASES * 3,
+                "only {checked} of {DIFFERENTIAL_CASES} drawn cases solved under the ceiling"
+            );
+            prop_assert!(
+                FALSE_VERDICTS.load(Ordering::Relaxed) > 0,
+                "no drawn automaton failed a check: the property never saw a `false` verdict"
+            );
+        }
+    }
 }
